@@ -5,24 +5,17 @@
 
 #include "obs/obs.hpp"
 #include "obs/registry.hpp"
+#include "util/json.hpp"
 
 namespace tb::obs {
 
 namespace {
 
-std::string escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
+using util::json::escape;
 
 void print_row(std::FILE* f, const RunRow& r, bool with_breakdown) {
   std::fprintf(f, "{\"schema\": %d, \"name\": \"%s\", ", kRunRowSchema,
-               escaped(r.name).c_str());
+               escape(r.name).c_str());
   std::fprintf(f, "\"bytes_per_lup\": %.6g, \"mlups\": %.6g", r.bytes_per_lup,
                r.mlups);
   if (r.predicted_mlups > 0.0)
@@ -31,15 +24,15 @@ void print_row(std::FILE* f, const RunRow& r, bool with_breakdown) {
     std::fprintf(f, ", \"phases\": {");
     for (std::size_t i = 0; i < r.phases.size(); ++i)
       std::fprintf(f, "%s\"%s\": %.6g", i > 0 ? ", " : "",
-                   escaped(r.phases[i].first).c_str(), r.phases[i].second);
+                   escape(r.phases[i].first).c_str(), r.phases[i].second);
     std::fprintf(f, "}");
   }
   if (with_breakdown && !r.tags.empty()) {
     std::fprintf(f, ", \"tags\": {");
     for (std::size_t i = 0; i < r.tags.size(); ++i)
       std::fprintf(f, "%s\"%s\": \"%s\"", i > 0 ? ", " : "",
-                   escaped(r.tags[i].first).c_str(),
-                   escaped(r.tags[i].second).c_str());
+                   escape(r.tags[i].first).c_str(),
+                   escape(r.tags[i].second).c_str());
     std::fprintf(f, "}");
   }
   std::fprintf(f, "}");

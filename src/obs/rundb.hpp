@@ -1,14 +1,15 @@
-// Append-only run rows: the one sink every bench and example reports
-// through (replaces the three hand-rolled util/bench_report emitters).
+// Append-only run rows: the one sink every example and scenario reports
+// through.
 //
 // Two outputs from the same RunRow record:
 //
-//  - write_bench_json("variants", rows) writes BENCH_variants.json, the
-//    array scripts/check_bench_regression.py consumes.  Keys are the
-//    historical {"name", "bytes_per_lup", "mlups"} plus a "schema"
-//    version field and — when a model prediction exists —
-//    "predicted_mlups"; the checker only reads name/mlups, so old and
-//    new files gate interchangeably.
+//  - write_bench_json("simnet", rows) writes BENCH_simnet.json, the
+//    array the cluster sweep (examples/cluster_scaling, the scenario
+//    "cluster" section) leaves for CI to check and archive.  Keys are
+//    {"name", "bytes_per_lup", "mlups"} plus a "schema" version field
+//    and — when a model prediction exists — "predicted_mlups".  Strings
+//    are quoted through util::json::escape, so every row reads back
+//    with util::json::parse.
 //
 //  - append_run_rows(path, rows) appends one JSON object per line to a
 //    run database ($TB_RUNDB, default "tb_runs.jsonl"), carrying the

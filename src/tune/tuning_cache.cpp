@@ -9,25 +9,18 @@
 
 #include "core/registry.hpp"
 #include "obs/registry.hpp"
+#include "util/json.hpp"
 
 namespace tb::tune {
 
 namespace {
 
+using util::json::escape;
+
 constexpr int kFormatVersion = 1;
 
 /// Key/value view of one parsed JSON object (values kept as raw text).
 using FlatObject = std::map<std::string, std::string>;
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 /// Minimal tolerant scanner for the cache format: tracks brace depth,
 /// collects "key": value pairs into the top-level object (depth 1) or

@@ -9,7 +9,8 @@
 // framework: numbers are doubles, object key order is preserved for
 // deterministic iteration, duplicate keys take the last value (like
 // every lenient reader), and there is deliberately no writer — the few
-// places that emit JSON keep their hand-rolled printers.
+// places that emit JSON keep their hand-rolled printers, but all of them
+// quote strings through the one escape() below.
 #pragma once
 
 #include <cmath>
@@ -324,6 +325,28 @@ class Parser {
 [[nodiscard]] inline Value parse(const std::string& text,
                                  const std::string& origin = "<string>") {
   return detail::Parser(text, origin).parse_document();
+}
+
+/// Body of a JSON string literal for `s` (no surrounding quotes): escapes
+/// '"', '\\' and every control character below 0x20 as \u00XX, so the
+/// result never contains a raw newline and parse() reads it back equal.
+[[nodiscard]] inline std::string escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      static constexpr char kHex[] = "0123456789abcdef";
+      out += "\\u00";
+      out.push_back(kHex[(c >> 4) & 0xF]);
+      out.push_back(kHex[c & 0xF]);
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
 }
 
 /// Reads and parses a JSON file; throws std::runtime_error naming the

@@ -18,6 +18,7 @@
 #include "obs/registry.hpp"
 #include "obs/rundb.hpp"
 #include "obs/trace.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -256,13 +257,33 @@ TEST(ObsRunDb, BenchJsonKeepsRegressionGateKeys) {
   std::stringstream buf;
   buf << in.rdbuf();
   const std::string text = buf.str();
-  // The historical keys the CI gate reads, plus the new schema/model ones.
+  // The historical keys, plus the schema/model ones.
   EXPECT_NE(text.find("\"name\": \"baseline/jacobi\""), std::string::npos);
   EXPECT_NE(text.find("\"mlups\": 123.5"), std::string::npos);
   EXPECT_NE(text.find("\"bytes_per_lup\": 24"), std::string::npos);
   EXPECT_NE(text.find("\"schema\": 1"), std::string::npos);
   EXPECT_NE(text.find("\"predicted_mlups\": 150"), std::string::npos);
   std::remove("BENCH_obs_test.json");
+}
+
+// A scenario or case name may legally hold a newline once util::json has
+// decoded it; the row must still be one JSONL line that parses back equal.
+TEST(ObsRunDb, RowWithQuotesBackslashesAndNewlinesStaysOneLine) {
+  const std::string hostile = "a\"b\\c\nd";
+  obs::RunRow row(hostile, 24.0, 1.5);
+  row.tags = {{hostile, hostile}};
+  const std::string path = "obs_test_escape.jsonl";
+  std::remove(path.c_str());
+  ASSERT_TRUE(obs::append_run_rows(path, {row}));
+
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::remove(path.c_str());
+  ASSERT_EQ(lines.size(), 1u);
+  const util::json::Value v = util::json::parse(lines[0]);
+  EXPECT_EQ(v.get("name").as_string(), hostile);
+  EXPECT_EQ(v.get("tags").get(hostile).as_string(), hostile);
 }
 
 // ------------------------------------------- instrumentation is inert

@@ -68,6 +68,16 @@ TEST(Json, StringEscapes) {
   EXPECT_EQ(parse(R"("Aé")").as_string(), "A\xc3\xa9");
 }
 
+TEST(Json, EscapeRoundTripsEveryControlByte) {
+  for (int c = 0; c < 0x20; ++c) {
+    const std::string s = std::string("x") + static_cast<char>(c) + "\"\\y";
+    const std::string body = escape(s);
+    for (const char e : body)
+      EXPECT_GE(static_cast<unsigned char>(e), 0x20) << "byte " << c;
+    EXPECT_EQ(parse("\"" + body + "\"").as_string(), s) << "byte " << c;
+  }
+}
+
 TEST(Json, TypeMismatchesThrow) {
   EXPECT_THROW((void)parse("1").as_string(), std::runtime_error);
   EXPECT_THROW((void)parse("\"x\"").as_number(), std::runtime_error);
