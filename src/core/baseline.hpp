@@ -162,11 +162,6 @@ class BaselineSolver {
     return (base_level + steps) % 2 == 0 ? a : b;
   }
 
-  /// Applies the configured page placement policy to a grid's storage.
-  void place_pages(Grid3& g) const {
-    topo::touch_pages(g.data(), g.size(), cfg_.placement, cfg_.threads);
-  }
-
   [[nodiscard]] const BaselineConfig& config() const { return cfg_; }
 
  private:

@@ -20,6 +20,7 @@
 // logical position while the solution data drifts through the allocation.
 #pragma once
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -30,6 +31,8 @@
 #include "core/stencil_op.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "topo/placement.hpp"
+#include "util/slices.hpp"
 #include "util/timer.hpp"
 
 namespace tb::core {
@@ -60,7 +63,10 @@ class CompressedSolver {
     if (cfg.scheme != GridScheme::kCompressed)
       throw std::invalid_argument(
           "CompressedSolver: config.scheme must be kCompressed");
-    store_.fill(0.0);
+    // Zeroed under the pipelined schemes' placement (Sec. 1.3): every
+    // thread sweeps every block, so the pages interleave round-robin.
+    topo::touch_pages({store_.data()}, store_.size(),
+                      topo::PagePlacement::kRoundRobin, cfg.total_threads());
   }
 
   /// Copies a level-0 state (shape nx*ny*nz) into the working array.
@@ -69,11 +75,7 @@ class CompressedSolver {
       throw std::invalid_argument("CompressedSolver::load: shape mismatch");
     margin_ = shift_span_;
     levels_done_ = 0;
-    for (int k = 0; k < nz_; ++k)
-      for (int j = 0; j < ny_; ++j)
-        for (int i = 0; i < nx_; ++i)
-          store_.at(i + margin_, j + margin_, k + margin_) =
-              initial.at(i, j, k);
+    copy_window(initial, 0, store_, margin_);
   }
 
   /// Runs `sweeps` team sweeps (alternating shift directions).
@@ -119,10 +121,7 @@ class CompressedSolver {
   void store(Grid3& out) const {
     if (out.nx() != nx_ || out.ny() != ny_ || out.nz() != nz_)
       throw std::invalid_argument("CompressedSolver::store: shape mismatch");
-    for (int k = 0; k < nz_; ++k)
-      for (int j = 0; j < ny_; ++j)
-        for (int i = 0; i < nx_; ++i)
-          out.at(i, j, k) = store_.at(i + margin_, j + margin_, k + margin_);
+    copy_window(store_, margin_, out, 0);
   }
 
   /// Current data offset: cell (i,j,k) lives at array (i+m, j+m, k+m).
@@ -145,6 +144,19 @@ class CompressedSolver {
     c.lo = {0, 0, 0};
     c.hi = {nx, ny, nz};
     return std::vector<LevelClip>(static_cast<std::size_t>(levels), c);
+  }
+
+  /// Copies the nx*ny*nz window at diagonal offset `from` of `src` to
+  /// offset `to` of `dst` row by row, z-slices split over the team's
+  /// threads (plain copies: the split cannot change a value).
+  void copy_window(const Grid3& src, int from, Grid3& dst, int to) const {
+    util::for_each_slice(
+        engine_.config().total_threads(), 0, nz_, [&](int, int k0, int k1) {
+          for (int k = k0; k < k1; ++k)
+            for (int j = 0; j < ny_; ++j)
+              std::copy_n(src.row(j + from, k + from) + from, nx_,
+                          dst.row(j + to, k + to) + to);
+        });
   }
 
   void process_window(int level, int op_level, const Box& w, bool forward,

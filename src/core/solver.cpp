@@ -1,5 +1,6 @@
 #include "core/solver.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -13,10 +14,12 @@ namespace tb::core {
 
 namespace {
 
-void copy_grid(const Grid3& src, Grid3& dst) {
-  for (int k = 0; k < src.nz(); ++k)
-    for (int j = 0; j < src.ny(); ++j)
-      for (int i = 0; i < src.nx(); ++i) dst.at(i, j, k) = src.at(i, j, k);
+/// Threads for the set-up passes that follow no scheme's page placement
+/// (the varcoef face coefficients): the most any scheme of the config
+/// runs.
+int setup_threads(const SolverConfig& cfg) {
+  return std::max({cfg.baseline.threads, cfg.pipeline.total_threads(),
+                   cfg.wavefront.threads});
 }
 
 /// Per-operator construction state.  The generic case is stateless; the
@@ -121,24 +124,7 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
         nz_(initial.nz()),
         a_(nx_, ny_, nz_),
         b_(nx_, ny_, nz_) {
-    // Establish page placement before the first write of actual data.
-    // The temporally blocked variants defeat first-touch locality (every
-    // thread sweeps through every block or plane), so they use
-    // round-robin interleaving; the baseline keeps classic first-touch
-    // (Sec. 1.3).
-    const bool spread = cfg.variant == Variant::kPipelined ||
-                        cfg.variant == Variant::kWavefront;
-    const topo::PagePlacement placement =
-        spread ? topo::PagePlacement::kRoundRobin : cfg.baseline.placement;
-    const int touch_threads =
-        cfg.variant == Variant::kPipelined ? cfg.pipeline.total_threads()
-        : cfg.variant == Variant::kWavefront ? cfg.wavefront.threads
-                                             : cfg.baseline.threads;
-    topo::touch_pages(a_.data(), a_.size(), placement, touch_threads);
-    topo::touch_pages(b_.data(), b_.size(), placement, touch_threads);
-
-    copy_grid(initial, a_);
-    copy_grid(initial, b_);  // boundary values must exist in both parities
+    write_initial(initial);
 
     const Op op = state_.make();
     switch (cfg.variant) {
@@ -241,11 +227,7 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
           "StencilSolver::reset: the new aux grid must match the "
           "constructed shape");
     state_.reset(cfg_, initial, aux);
-    // Same double write as construction: the boundary values must exist
-    // in both parities.  The pages are already mapped, so the placement
-    // established at construction is untouched.
-    copy_grid(initial, a_);
-    copy_grid(initial, b_);
+    write_initial(initial);
   }
 
   /// The current level lives in a_ by invariant: every path below swaps
@@ -257,6 +239,27 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
   }
 
  private:
+  /// Writes `initial` into both parities — the boundary values must
+  /// exist in both — in one parallel pass.  At construction that pass is
+  /// the pages' first touch: the temporally blocked variants defeat
+  /// first-touch locality (every thread sweeps through every block or
+  /// plane), so they interleave round-robin, while the baseline keeps
+  /// classic first-touch (Sec. 1.3).  On reset the pages are mapped
+  /// already and keep that placement.  Row padding ends up zero.
+  void write_initial(const Grid3& initial) {
+    const bool spread = cfg_.variant == Variant::kPipelined ||
+                        cfg_.variant == Variant::kWavefront;
+    const topo::PagePlacement placement =
+        spread ? topo::PagePlacement::kRoundRobin : cfg_.baseline.placement;
+    const int threads =
+        cfg_.variant == Variant::kPipelined ? cfg_.pipeline.total_threads()
+        : cfg_.variant == Variant::kWavefront ? cfg_.wavefront.threads
+                                              : cfg_.baseline.threads;
+    topo::touch_pages({a_.data(), b_.data()}, a_.size(), placement, threads,
+                      {initial.data(), static_cast<std::size_t>(nx_),
+                       static_cast<std::size_t>(a_.stride_x())});
+  }
+
   static void accumulate(RunStats& total, const RunStats& st) {
     total.seconds += st.seconds;
     total.cell_updates += st.cell_updates;
@@ -375,7 +378,8 @@ StencilSolver::StencilSolver(const SolverConfig& cfg, const Grid3& initial,
     return;
   }
   impl_ = std::make_unique<OpImpl<VarCoefOp>>(
-      cfg, initial, OpState<VarCoefOp>{DiffusionCoefficients(kappa)});
+      cfg, initial,
+      OpState<VarCoefOp>{DiffusionCoefficients(kappa, setup_threads(cfg))});
 }
 
 StencilSolver::~StencilSolver() = default;

@@ -48,6 +48,7 @@
 #include "core/blocks.hpp"
 #include "core/grid.hpp"
 #include "core/kernels.hpp"
+#include "util/slices.hpp"
 
 namespace tb::core {
 
@@ -101,9 +102,14 @@ class DiffusionCoefficients {
  public:
   /// Builds face coefficients from a cell-centered kappa field (same
   /// shape as the solution grid; kappa must be positive on the interior
-  /// and its boundary-adjacent layer).
-  explicit DiffusionCoefficients(const Grid3& kappa)
-      : nx_(kappa.nx()), ny_(kappa.ny()), nz_(kappa.nz()) {
+  /// and its boundary-adjacent layer).  `threads` split the faces over
+  /// z-slices, here and in rebuild(); every cell is computed on its own,
+  /// so the coefficients do not depend on the split.
+  explicit DiffusionCoefficients(const Grid3& kappa, int threads = 1)
+      : nx_(kappa.nx()),
+        ny_(kappa.ny()),
+        nz_(kappa.nz()),
+        threads_(threads) {
     for (auto& f : faces_) f = Grid3(nx_, ny_, nz_);
     fill_faces(kappa);
   }
@@ -133,22 +139,25 @@ class DiffusionCoefficients {
   }
 
   void fill_faces(const Grid3& kappa) {
-    for (int k = 1; k < nz_ - 1; ++k)
-      for (int j = 1; j < ny_ - 1; ++j)
-        for (int i = 1; i < nx_ - 1; ++i) {
-          const double kc = kappa.at(i, j, k);
-          const std::array<double, 6> knb = {
-              kappa.at(i - 1, j, k), kappa.at(i + 1, j, k),
-              kappa.at(i, j - 1, k), kappa.at(i, j + 1, k),
-              kappa.at(i, j, k - 1), kappa.at(i, j, k + 1)};
-          for (int f = 0; f < 6; ++f) {
-            const double h = harmonic(kc, knb[static_cast<std::size_t>(f)]);
-            faces_[static_cast<std::size_t>(f)].at(i, j, k) = h;
+    util::for_each_slice(threads_, 1, nz_ - 1, [&](int, int k0, int k1) {
+      for (int k = k0; k < k1; ++k)
+        for (int j = 1; j < ny_ - 1; ++j)
+          for (int i = 1; i < nx_ - 1; ++i) {
+            const double kc = kappa.at(i, j, k);
+            const std::array<double, 6> knb = {
+                kappa.at(i - 1, j, k), kappa.at(i + 1, j, k),
+                kappa.at(i, j - 1, k), kappa.at(i, j + 1, k),
+                kappa.at(i, j, k - 1), kappa.at(i, j, k + 1)};
+            for (int f = 0; f < 6; ++f) {
+              const double h = harmonic(kc, knb[static_cast<std::size_t>(f)]);
+              faces_[static_cast<std::size_t>(f)].at(i, j, k) = h;
+            }
           }
-        }
+    });
   }
 
   int nx_, ny_, nz_;
+  int threads_;  ///< z-slices fill_faces splits the interior into
   std::array<Grid3, 6> faces_;  ///< order: -x +x -y +y -z +z
 };
 

@@ -13,8 +13,8 @@
 // ~2.9 MiB per plane and the shared L3 overflows already at t = 2, while
 // pipelined blocking can always shrink its blocks.  The wavefront variant
 // here is the clean two-grid formulation (no extra boundary copies); see
-// perfmodel/wavefront_model.hpp for the capacity analysis and
-// bench_wavefront for the comparison.
+// perfmodel/wavefront_model.hpp for the capacity analysis and the
+// wavefront table of bench/paper_figures for the comparison.
 #pragma once
 
 #include <algorithm>

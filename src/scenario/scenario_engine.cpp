@@ -34,12 +34,14 @@ core::SolverConfig config_for(const CaseSpec& spec) {
   return cfg;
 }
 
+/// Mean over the nx*ny*nz cells; row padding is neither summed nor
+/// counted.
 double solution_mean(const core::Grid3& g) {
   double sum = 0.0;
   for (int k = 0; k < g.nz(); ++k)
     for (int j = 0; j < g.ny(); ++j)
       for (int i = 0; i < g.nx(); ++i) sum += g.at(i, j, k);
-  return sum / static_cast<double>(g.size());
+  return sum / (static_cast<double>(g.nx()) * g.ny() * g.nz());
 }
 
 }  // namespace

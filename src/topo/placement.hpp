@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <initializer_list>
 #include <thread>
 #include <vector>
 
@@ -39,12 +40,31 @@ enum class PagePlacement {
 
 inline constexpr std::size_t kPageBytes = 4096;
 
-/// Touches `bytes` of `data` according to `policy` using `threads` logical
-/// initializer threads.  Each initializer writes zeros to the pages the
-/// policy assigns to it, establishing first-touch homing on real ccNUMA
-/// hardware and a deterministic initialization everywhere else.
-void touch_pages(double* data, std::size_t count, PagePlacement policy,
-                 int threads);
+/// What touch_pages writes.  The default, a null `data`, writes zeros.
+/// Otherwise `data` is laid out like the destinations — rows `stride`
+/// elements apart, each `width` payload elements followed by padding —
+/// and every destination receives the payload with zero padding (the
+/// source's own padding is never read).  `data` may be one of the
+/// destinations: a solver reset to its own solution copies in place.
+struct PageSource {
+  const double* data = nullptr;
+  std::size_t width = 0;   ///< payload elements per row
+  std::size_t stride = 0;  ///< row pitch in elements, >= width
+};
+
+/// Writes the first `count` elements of every destination in `dsts`
+/// according to `policy`, using `threads` logical initializer threads:
+/// each page is written first by the thread the policy assigns it to
+/// (round-robin: page p by thread p mod threads; first-touch: one
+/// contiguous run of pages per thread; serial: the calling thread),
+/// establishing first-touch homing on real ccNUMA hardware and a
+/// deterministic initialization everywhere else.  All destinations
+/// share the page assignment, so one call places a solver's grid pair
+/// identically while each source page is read once.  Row padding ends
+/// up zero with or without a source.  Throws std::invalid_argument for
+/// a source with stride 0 or width > stride.
+void touch_pages(std::initializer_list<double*> dsts, std::size_t count,
+                 PagePlacement policy, int threads, PageSource src = {});
 
 /// Returns the locality domain (0..domains-1) that `policy` assigns to the
 /// page containing element `index`; used by the machine simulator to model

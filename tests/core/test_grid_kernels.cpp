@@ -1,10 +1,12 @@
 // Unit tests for Grid3 and the row kernels.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 
 #include "core/grid.hpp"
 #include "core/kernels.hpp"
+#include "support/grid_test_utils.hpp"
 
 namespace tb::core {
 namespace {
@@ -71,6 +73,17 @@ TEST(Grid3, TestPatternIsDeterministicAndNonTrivial) {
   EXPECT_NE(a.at(1, 2, 3), a.at(2, 2, 3));
   EXPECT_NE(a.at(1, 2, 3), a.at(1, 3, 3));
   EXPECT_NE(a.at(1, 2, 3), a.at(1, 2, 4));
+}
+
+TEST(Grid3, TestPatternMatchesPerCellFormulaBitwise) {
+  for (const auto& [nx, ny, nz] :
+       {std::array{21, 13, 11}, std::array{64, 64, 64}})
+    for (const double scale : {1.0, 1.75}) {
+      Grid3 tabulated(nx, ny, nz), per_cell(nx, ny, nz);
+      fill_test_pattern(tabulated, scale);
+      tb::test::fill_test_pattern_oracle(per_cell, scale);
+      tb::test::expect_grids_bitwise_equal(tabulated, per_cell);
+    }
 }
 
 // ---- row kernels ----------------------------------------------------

@@ -2,6 +2,9 @@
 // engine (generality of the scheme beyond constant-coefficient Jacobi).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/norms.hpp"
 #include "core/varcoef.hpp"
 
@@ -34,6 +37,26 @@ TEST(VarCoef, HarmonicFaceCoefficientsAreSymmetric) {
     for (int j = 2; j < n - 2; ++j)
       for (int i = 2; i < n - 3; ++i)
         EXPECT_DOUBLE_EQ(c.face(1).at(i, j, k), c.face(0).at(i + 1, j, k));
+}
+
+TEST(VarCoef, FaceCoefficientsIndependentOfThreadCount) {
+  // A varied positive field; its 9 interior z-slices do not split evenly
+  // over 4 threads.
+  Grid3 kappa(21, 13, 11);
+  fill_test_pattern(kappa);  // >= -1.25
+  for (int k = 0; k < kappa.nz(); ++k)
+    for (int j = 0; j < kappa.ny(); ++j)
+      for (int i = 0; i < kappa.nx(); ++i) kappa.at(i, j, k) += 2.0;
+  const DiffusionCoefficients one(kappa, 1);
+  const DiffusionCoefficients four(kappa, 4);
+  for (int f = 0; f < 6; ++f)
+    for (int k = 1; k < kappa.nz() - 1; ++k)
+      for (int j = 1; j < kappa.ny() - 1; ++j)
+        for (int i = 1; i < kappa.nx() - 1; ++i)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(one.face(f).at(i, j, k)),
+                    std::bit_cast<std::uint64_t>(four.face(f).at(i, j, k)))
+              << "face " << f << " at (" << i << "," << j << "," << k
+              << ")";
 }
 
 TEST(VarCoef, UniformKappaReducesToJacobi) {

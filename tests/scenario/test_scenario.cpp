@@ -211,6 +211,19 @@ TEST(ScenarioEngine, CasesBitIdenticalToFreshSolvers) {
   EXPECT_GT(engine.session().solvers_reused(), 0u);
 }
 
+TEST(ScenarioEngine, MeanCountsCellsNotRowPadding) {
+  // n = 21 pads each row to 24 doubles; a uniform-ones field must
+  // average to 1 over its 21^3 cells, not to 21/24.
+  CaseSpec spec;
+  spec.op = "jacobi";
+  spec.variant = "baseline";
+  spec.nx = spec.ny = spec.nz = 21;
+  spec.steps = 2;
+  spec.initial = "uniform";
+  ScenarioEngine engine;
+  EXPECT_NEAR(engine.run_case(spec).mean, 1.0, 1e-12);
+}
+
 TEST(ScenarioEngine, ShippedSweepScenarioExpandsAndRuns) {
   const std::string dir = TB_SCENARIO_DIR;
   ScenarioConfig config;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 
@@ -35,6 +36,19 @@ inline constexpr std::array<std::array<int, 3>, 3> kLargeShapes{{
 /// Cubic overload: n^3 grid.
 [[nodiscard]] inline core::Grid3 make_initial(int n) {
   return make_initial(n, n, n);
+}
+
+/// fill_test_pattern's per-cell definition, three libm calls per cell:
+/// the oracle its tabulated implementation must match bit for bit.
+inline void fill_test_pattern_oracle(core::Grid3& g, double scale = 1.0) {
+  for (int k = 0; k < g.nz(); ++k)
+    for (int j = 0; j < g.ny(); ++j)
+      for (int i = 0; i < g.nx(); ++i) {
+        const double w = std::sin(0.31 * i) * std::cos(0.17 * j) +
+                         std::sin(0.07 * k * i) * 0.25 +
+                         0.01 * ((i * 131 + j * 17 + k * 739) % 97);
+        g.at(i, j, k) = scale * w;
+      }
 }
 
 /// The standard two-material field (core::make_slab_kappa) under the

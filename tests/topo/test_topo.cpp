@@ -1,8 +1,13 @@
 // Unit tests for the topology substrate.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <tuple>
 #include <vector>
 
+#include "core/grid.hpp"
 #include "topo/affinity.hpp"
 #include "topo/machine.hpp"
 #include "topo/placement.hpp"
@@ -99,14 +104,14 @@ class TouchPages : public ::testing::TestWithParam<PagePlacement> {};
 TEST_P(TouchPages, ZeroesEverything) {
   const std::size_t n = 3 * kPageBytes / sizeof(double) + 17;
   std::vector<double> data(n, -1.0);
-  touch_pages(data.data(), n, GetParam(), 3);
+  touch_pages({data.data()}, n, GetParam(), 3);
   for (double x : data) EXPECT_EQ(x, 0.0);
 }
 
 TEST_P(TouchPages, HandlesEmptyAndTiny) {
-  touch_pages(nullptr, 0, GetParam(), 2);  // must not crash
+  touch_pages({nullptr}, 0, GetParam(), 2);  // must not crash
   std::vector<double> one(1, -1.0);
-  touch_pages(one.data(), 1, GetParam(), 4);
+  touch_pages({one.data()}, 1, GetParam(), 4);
   EXPECT_EQ(one[0], 0.0);
 }
 
@@ -114,6 +119,52 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, TouchPages,
                          ::testing::Values(PagePlacement::kFirstTouch,
                                            PagePlacement::kRoundRobin,
                                            PagePlacement::kSerial));
+
+class TouchPagesCopy
+    : public ::testing::TestWithParam<std::tuple<PagePlacement, int>> {};
+
+// nx = 21 pads each row to 24 elements while a page holds 512, so page
+// boundaries cut rows inside the payload and inside the padding.
+TEST_P(TouchPagesCopy, MatchesPerCellCopyWithZeroPadding) {
+  const auto [policy, threads] = GetParam();
+  core::Grid3 src(21, 13, 11);
+  src.fill(std::numeric_limits<double>::quiet_NaN());  // garbage padding
+  core::Grid3 want(21, 13, 11);
+  want.fill(0.0);
+  for (int k = 0; k < src.nz(); ++k)
+    for (int j = 0; j < src.ny(); ++j)
+      for (int i = 0; i < src.nx(); ++i) {
+        src.at(i, j, k) = 0.5 + i + 100.0 * j + 1.0e4 * k;
+        want.at(i, j, k) = src.at(i, j, k);
+      }
+
+  core::Grid3 a(21, 13, 11), b(21, 13, 11);
+  a.fill(-1.0);
+  b.fill(-2.0);
+  touch_pages({a.data(), b.data()}, a.size(), policy, threads,
+              {src.data(), static_cast<std::size_t>(src.nx()),
+               static_cast<std::size_t>(src.stride_x())});
+  const std::size_t bytes = want.size() * sizeof(double);
+  EXPECT_EQ(std::memcmp(a.data(), want.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(b.data(), want.data(), bytes), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesByThreads, TouchPagesCopy,
+    ::testing::Combine(::testing::Values(PagePlacement::kFirstTouch,
+                                         PagePlacement::kRoundRobin,
+                                         PagePlacement::kSerial),
+                       ::testing::Values(1, 3, 4)));
+
+TEST(TouchPagesSource, RejectsMalformedRows) {
+  std::vector<double> src(8, 1.0), dst(8);
+  EXPECT_THROW(touch_pages({dst.data()}, 8, PagePlacement::kSerial, 1,
+                           {src.data(), 4, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(touch_pages({dst.data()}, 8, PagePlacement::kSerial, 1,
+                           {src.data(), 5, 4}),
+               std::invalid_argument);
+}
 
 TEST(PageDomain, RoundRobinInterleaves) {
   const std::size_t per_page = kPageBytes / sizeof(double);

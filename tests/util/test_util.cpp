@@ -8,6 +8,7 @@
 
 #include "util/aligned_buffer.hpp"
 #include "util/args.hpp"
+#include "util/slices.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -181,6 +182,24 @@ TEST(ThreadPool, SingleWorker) {
   int value = 0;
   pool.run([&](int w) { value = w + 100; });
   EXPECT_EQ(value, 100);
+}
+
+TEST(ForEachSlice, CoversTheRangeOnceInBalancedContiguousSlices) {
+  // 10 indices; 16 threads leave some slices empty, which still run.
+  for (const int threads : {1, 3, 4, 16}) {
+    const auto parts = static_cast<std::size_t>(threads);
+    std::vector<int> hits(10, 0), ran(parts, 0), first(parts, -1);
+    for_each_slice(threads, 2, 12, [&](int t, int s0, int s1) {
+      ran[static_cast<std::size_t>(t)] = 1;
+      first[static_cast<std::size_t>(t)] = s0;
+      for (int i = s0; i < s1; ++i) ++hits[static_cast<std::size_t>(i - 2)];
+    });
+    for (const int h : hits) EXPECT_EQ(h, 1) << threads << " threads";
+    for (int t = 0; t < threads; ++t) {
+      EXPECT_EQ(ran[static_cast<std::size_t>(t)], 1);
+      EXPECT_EQ(first[static_cast<std::size_t>(t)], 2 + 10 * t / threads);
+    }
+  }
 }
 
 }  // namespace
