@@ -8,8 +8,10 @@
 #pragma once
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -25,12 +27,15 @@ class Grid3 {
  public:
   Grid3() = default;
 
-  Grid3(int nx, int ny, int nz)
-      : nx_(nx), ny_(ny), nz_(nz), sx_(pad_row(nx)) {
+  Grid3(int nx, int ny, int nz) : nx_(nx), ny_(ny), nz_(nz) {
     if (nx < 1 || ny < 1 || nz < 1)
       throw std::invalid_argument("Grid3: extents must be >= 1");
-    buf_ = util::AlignedBuffer<double>(
-        static_cast<std::size_t>(sx_) * ny_ * nz_);
+    // The padded row pitch must fit an int, the byte count a size_t.
+    const std::size_t sx = pad_row(nx), plane = std::size_t(ny) * nz;
+    if (sx > INT_MAX || plane > SIZE_MAX / sizeof(double) / sx)
+      throw std::invalid_argument("Grid3: extents overflow the allocation");
+    sx_ = static_cast<int>(sx);
+    buf_ = util::AlignedBuffer<double>(sx * plane);
   }
 
   [[nodiscard]] int nx() const { return nx_; }
@@ -82,9 +87,9 @@ class Grid3 {
   }
 
  private:
-  static int pad_row(int nx) {
-    constexpr int kDoublesPerLine =
-        static_cast<int>(util::kCacheLineBytes / sizeof(double));
+  static std::size_t pad_row(int nx) {
+    constexpr std::size_t kDoublesPerLine =
+        util::kCacheLineBytes / sizeof(double);
     return (nx + kDoublesPerLine - 1) / kDoublesPerLine * kDoublesPerLine;
   }
 

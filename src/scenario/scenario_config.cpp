@@ -1,6 +1,7 @@
 #include "scenario/scenario_config.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <initializer_list>
 #include <sstream>
@@ -100,6 +101,27 @@ void apply_key(CaseSpec& spec, bool& saw_shape, const std::string& key,
 bool sweepable(const std::string& key) {
   return key == "op" || key == "operator" || key == "variant" ||
          key == "n" || key == "steps" || key == "threads";
+}
+
+/// Most cases one file may expand to (the shipped files expand to 3-20).
+/// Every expanded case is held in memory before the first one runs, so a
+/// runaway "repeat" or sweep must fail here, not exhaust the host.
+constexpr std::uint64_t kMaxCases = 100000;
+
+/// Number of cases expand() makes of one merged case object: the product
+/// of its sweep-list lengths and its repeat count, clamped to
+/// kMaxCases + 1 so the product cannot overflow.
+std::uint64_t case_count(const json::Object& entries) {
+  std::uint64_t count = 1;
+  for (const auto& [key, v] : entries) {
+    std::uint64_t factor = 1;
+    if (key == "repeat")
+      factor = static_cast<std::uint64_t>(positive_int("repeat", v));
+    else if (v.is_array() && sweepable(key))
+      factor = v.as_array().size();
+    count = std::min(count * factor, kMaxCases + 1);
+  }
+  return count;
 }
 
 /// Generated case id: op/variant/NXxNYxNZ/sSTEPS/tTHREADS, plus #k for
@@ -223,6 +245,8 @@ void ScenarioConfig::load_text(const std::string& text,
     throw std::invalid_argument("scenario: missing \"cases\" array (" +
                                 origin + ")");
 
+  std::vector<json::Object> merged_cases;
+  std::uint64_t total = 0;
   for (const json::Value& case_value :
        case_list != nullptr ? case_list->as_array() : kNoCases) {
     // Merge defaults under the case with last-wins key replacement (a
@@ -245,9 +269,17 @@ void ScenarioConfig::load_text(const std::string& text,
         upsert(kv.first, kv.second);
     for (const auto& kv : case_value.as_object())
       upsert(kv.first, kv.second);
+    total += case_count(merged);
+    if (total > kMaxCases)
+      throw std::invalid_argument(
+          "scenario: cases expand to more than " + std::to_string(kMaxCases) +
+          " (" + origin + ")");
+    merged_cases.push_back(std::move(merged));
+  }
+  // Counted first, so no case is materialized past the cap.
+  for (const json::Object& merged : merged_cases)
     expand(merged, 0, CaseSpec{}, /*saw_shape=*/false, /*swept=*/false,
            /*repeat=*/1, cases);
-  }
   if (case_list != nullptr && cases.empty())
     throw std::invalid_argument("scenario: \"cases\" expanded to nothing (" +
                                 origin + ")");

@@ -97,7 +97,9 @@ class ScenarioConfig {
 
   /// Parses + expands `text`; `origin` labels error messages.  Replaces
   /// any previously loaded scenario.  Throws std::runtime_error on
-  /// malformed JSON and std::invalid_argument on schema violations.
+  /// malformed JSON and std::invalid_argument on schema violations,
+  /// including cases that would expand past 100 000 (checked before any
+  /// case is built).
   void load_text(const std::string& text,
                  const std::string& origin = "<string>");
 

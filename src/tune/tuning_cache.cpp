@@ -1,11 +1,12 @@
 #include "tune/tuning_cache.hpp"
 
-#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
+#include <stdexcept>
+#include <type_traits>
 
 #include "core/registry.hpp"
 #include "obs/registry.hpp"
@@ -15,109 +16,44 @@ namespace tb::tune {
 
 namespace {
 
-using util::json::escape;
+namespace json = util::json;
 
 constexpr int kFormatVersion = 1;
 
-/// Key/value view of one parsed JSON object (values kept as raw text).
-using FlatObject = std::map<std::string, std::string>;
-
-/// Minimal tolerant scanner for the cache format: tracks brace depth,
-/// collects "key": value pairs into the top-level object (depth 1) or
-/// the current entry object (depth 2+), and flushes an entry whenever
-/// its closing brace returns to depth 1.  Anything unexpected is
-/// skipped, so hand-edited or truncated files degrade gracefully.
-void scan(const std::string& text, FlatObject& top,
-          std::vector<FlatObject>& entries) {
-  FlatObject current;
-  std::string key;
-  bool have_key = false;
-  int depth = 0;
-  std::size_t i = 0;
-
-  auto read_string = [&](std::size_t& pos) {
-    std::string s;
-    ++pos;  // opening quote
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\' && pos + 1 < text.size()) ++pos;
-      s.push_back(text[pos++]);
-    }
-    if (pos < text.size()) ++pos;  // closing quote
-    return s;
-  };
-  auto emit = [&](std::string value) {
-    if (!have_key) return;
-    if (depth <= 1)
-      top[key] = std::move(value);
-    else
-      current[key] = std::move(value);
-    have_key = false;
-  };
-
-  while (i < text.size()) {
-    const char c = text[i];
-    if (c == '"') {
-      std::string s = read_string(i);
-      std::size_t j = i;
-      while (j < text.size() && std::isspace(static_cast<unsigned char>(
-                                    text[j])))
-        ++j;
-      if (j < text.size() && text[j] == ':') {
-        key = std::move(s);
-        have_key = true;
-        i = j + 1;
-      } else {
-        emit(std::move(s));
-      }
-    } else if (c == '{') {
-      ++depth;
-      ++i;
-    } else if (c == '}') {
-      --depth;
-      if (depth == 1 && !current.empty()) {
-        entries.push_back(std::move(current));
-        current.clear();
-      }
-      ++i;
-    } else if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-      std::size_t j = i;
-      while (j < text.size() &&
-             (std::isdigit(static_cast<unsigned char>(text[j])) ||
-              text[j] == '-' || text[j] == '+' || text[j] == '.' ||
-              text[j] == 'e' || text[j] == 'E'))
-        ++j;
-      emit(text.substr(i, j - i));
-      i = j;
-    } else {
-      ++i;
-    }
-  }
-}
-
-int as_int(const FlatObject& o, const char* k, int def) {
-  const auto it = o.find(k);
-  if (it == o.end()) return def;
-  try {
-    return std::stoi(it->second);
-  } catch (...) {
-    return def;
-  }
-}
-
-double as_double(const FlatObject& o, const char* k, double def) {
-  const auto it = o.find(k);
-  if (it == o.end()) return def;
-  try {
-    return std::stod(it->second);
-  } catch (...) {
-    return def;
-  }
-}
-
-std::string as_string(const FlatObject& o, const char* k,
-                      const std::string& def = {}) {
-  const auto it = o.find(k);
-  return it == o.end() ? def : it->second;
+/// The persisted fields of one entry as (on-disk key, field) pairs, in
+/// file order: load() and save() both walk this list, so a new tuner
+/// axis is one line here.  `E` is the entry type, const for save().
+/// Flags (bool, LbmStorage) are stored as 0/1.
+static_assert(static_cast<int>(lbm::LbmStorage::kAA) == 1,
+              "\"lbm_aa\": 1 is stored as the enumerator value");
+template <class E, class F>
+void for_each_field(E& e, F&& f) {
+  f("nx", e.key.nx);
+  f("ny", e.key.ny);
+  f("nz", e.key.nz);
+  f("op", e.key.op);
+  f("constraint", e.key.variant);
+  f("variant", e.plan.variant);
+  f("teams", e.plan.cfg.pipeline.teams);
+  f("team_size", e.plan.cfg.pipeline.team_size);
+  f("T", e.plan.cfg.pipeline.steps_per_thread);
+  f("bx", e.plan.cfg.pipeline.block.bx);
+  f("by", e.plan.cfg.pipeline.block.by);
+  f("bz", e.plan.cfg.pipeline.block.bz);
+  f("dl", e.plan.cfg.pipeline.dl);
+  f("du", e.plan.cfg.pipeline.du);
+  f("dt", e.plan.cfg.pipeline.dt);
+  f("bl_threads", e.plan.cfg.baseline.threads);
+  f("bl_bx", e.plan.cfg.baseline.block.bx);
+  f("bl_by", e.plan.cfg.baseline.block.by);
+  f("bl_bz", e.plan.cfg.baseline.block.bz);
+  f("nontemporal", e.plan.cfg.baseline.nontemporal);
+  f("wf_threads", e.plan.cfg.wavefront.threads);
+  f("wf_by", e.plan.cfg.wavefront.by);
+  f("lbm_aa", e.plan.cfg.lbm_storage);
+  f("lbm_prefetch", e.plan.cfg.lbm_prefetch);
+  f("predicted_mlups", e.plan.predicted_mlups);
+  f("measured_mlups", e.plan.measured_mlups);
 }
 
 }  // namespace
@@ -139,118 +75,102 @@ std::string default_cache_path() {
 
 std::size_t TuningCache::load() {
   entries_.clear();
-  std::ifstream in(path_);
-  if (!in) return 0;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
+  if (!std::ifstream(path_)) return 0;  // no file yet: an empty cache
 
-  FlatObject top;
-  std::vector<FlatObject> objects;
-  scan(text, top, objects);
-  if (as_string(top, "signature") != signature_ ||
-      as_int(top, "version", 0) != kFormatVersion) {
-    // A non-empty file from another machine or format generation: the
-    // whole cache is discarded, which examples/autotune surfaces as an
-    // invalidation (distinct from a plain miss on an empty cache).
-    if (!text.empty())
-      obs::Registry::global().counter("tune.cache.invalidated").add(1);
+  // An unreadable file (garbage, or truncated by a crash) and a file from
+  // another machine or format generation are both invalidations: the
+  // whole cache is discarded, which examples/autotune surfaces as
+  // distinct from a plain miss.  Only a parse failure warns.
+  auto& invalidated = obs::Registry::global().counter("tune.cache.invalidated");
+  json::Value root;
+  try {
+    root = json::parse_file(path_);  // errors carry path:line:col
+    (void)root.as_object();
+  } catch (const std::runtime_error& err) {
+    std::fprintf(stderr, "warning: ignoring tuning cache %s (%s)\n",
+                 path_.c_str(), err.what());
+    invalidated.add(1);
     return 0;
   }
+  const json::Value* version = root.find("version");
+  const json::Value* signature = root.find("signature");
+  if (version == nullptr || !version->is_number() ||
+      version->as_number() != kFormatVersion || signature == nullptr ||
+      !signature->is_string() || signature->as_string() != signature_) {
+    invalidated.add(1);
+    return 0;
+  }
+  const json::Value* list = root.find("entries");
+  if (list == nullptr || !list->is_array()) return 0;
 
-  for (const FlatObject& o : objects) {
+  for (const json::Value& o : list->as_array()) {
+    // A wrong-typed, out-of-range or inadmissible entry is dropped alone;
+    // a corrupt entry may never become a hit that then throws inside
+    // solver construction.  Absent fields keep their defaults.
     Entry e;
-    e.key.nx = as_int(o, "nx", 0);
-    e.key.ny = as_int(o, "ny", 0);
-    e.key.nz = as_int(o, "nz", 0);
-    e.key.op = as_string(o, "op", "jacobi");
-    e.key.variant = as_string(o, "constraint");
-    e.plan.variant = as_string(o, "variant");
-    if (e.key.nx < 1 || e.key.ny < 1 || e.key.nz < 1) continue;
-    if (!core::apply_variant(e.plan.cfg, e.plan.variant)) continue;
-
-    core::PipelineConfig& pl = e.plan.cfg.pipeline;
-    pl.teams = as_int(o, "teams", pl.teams);
-    pl.team_size = as_int(o, "team_size", pl.team_size);
-    pl.steps_per_thread = as_int(o, "T", pl.steps_per_thread);
-    pl.block.bx = as_int(o, "bx", pl.block.bx);
-    pl.block.by = as_int(o, "by", pl.block.by);
-    pl.block.bz = as_int(o, "bz", pl.block.bz);
-    pl.dl = as_int(o, "dl", pl.dl);
-    pl.du = as_int(o, "du", pl.du);
-    pl.dt = as_int(o, "dt", pl.dt);
-
-    core::BaselineConfig& bl = e.plan.cfg.baseline;
-    bl.threads = as_int(o, "bl_threads", bl.threads);
-    bl.block.bx = as_int(o, "bl_bx", bl.block.bx);
-    bl.block.by = as_int(o, "bl_by", bl.block.by);
-    bl.block.bz = as_int(o, "bl_bz", bl.block.bz);
-    bl.nontemporal = as_int(o, "nontemporal", bl.nontemporal ? 1 : 0) != 0;
-
-    core::WavefrontConfig& wf = e.plan.cfg.wavefront;
-    wf.threads = as_int(o, "wf_threads", wf.threads);
-    wf.by = as_int(o, "wf_by", wf.by);
-
-    e.plan.cfg.lbm_storage = as_int(o, "lbm_aa", 0) != 0
-                                 ? lbm::LbmStorage::kAA
-                                 : lbm::LbmStorage::kTwoLattice;
-    e.plan.cfg.lbm_prefetch = as_int(o, "lbm_prefetch", 0);
-
-    e.plan.predicted_mlups = as_double(o, "predicted_mlups", 0.0);
-    e.plan.measured_mlups = as_double(o, "measured_mlups", 0.0);
-
-    try {  // never let a corrupt entry produce an invalid schedule
-      pl.validate();
-      wf.validate();
-      // BaselineConfig has no validate(); mirror its constructor checks.
-      if (bl.threads < 1 || bl.block.bx < 1 || bl.block.by < 1 ||
-          bl.block.bz < 1)
-        continue;
+    try {
+      for_each_field(e, [&o](const char* key, auto& field) {
+        using T = std::decay_t<decltype(field)>;
+        const json::Value* v = o.find(key);
+        if (v == nullptr) return;
+        if constexpr (std::is_same_v<T, std::string>) {
+          field = v->as_string();
+        } else if constexpr (std::is_same_v<T, double>) {
+          field = v->as_number();
+          if (!std::isfinite(field)) throw std::runtime_error(key);
+        } else {  // int, or a 0/1 flag (bool, LbmStorage)
+          const int i = v->as_int();
+          if (!std::is_same_v<T, int> && i != 0 && i != 1)
+            throw std::runtime_error(key);
+          field = static_cast<T>(i);
+        }
+      });
+      e.plan.cfg.pipeline.validate();
+      e.plan.cfg.wavefront.validate();
     } catch (const std::exception&) {
       continue;
     }
+    // BaselineConfig has no validate(); mirror its constructor checks.
+    const core::BaselineConfig& bl = e.plan.cfg.baseline;
+    if (e.key.nx < 1 || e.key.ny < 1 || e.key.nz < 1 || bl.threads < 1 ||
+        bl.block.bx < 1 || bl.block.by < 1 || bl.block.bz < 1 ||
+        !core::apply_variant(e.plan.cfg, e.plan.variant))
+      continue;
     entries_.push_back(std::move(e));
   }
   return entries_.size();
 }
 
 bool TuningCache::save() const {
-  std::ofstream out(path_);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write tuning cache %s\n",
-                 path_.c_str());
-    return false;
-  }
+  // Written beside the cache and renamed over it, so a crash mid-save
+  // leaves the previous file rather than a truncated one.
+  const std::string tmp = path_ + ".tmp";
+  std::ofstream out(tmp);
   out.precision(17);  // doubles must round-trip exactly
   out << "{\n  \"version\": " << kFormatVersion << ",\n  \"signature\": \""
-      << escape(signature_) << "\",\n  \"entries\": [\n";
+      << json::escape(signature_) << "\",\n  \"entries\": [\n";
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& e = entries_[i];
-    const core::PipelineConfig& pl = e.plan.cfg.pipeline;
-    const core::BaselineConfig& bl = e.plan.cfg.baseline;
-    const core::WavefrontConfig& wf = e.plan.cfg.wavefront;
-    out << "    {\"nx\": " << e.key.nx << ", \"ny\": " << e.key.ny
-        << ", \"nz\": " << e.key.nz << ", \"op\": \"" << escape(e.key.op)
-        << "\", \"constraint\": \"" << escape(e.key.variant) << "\",\n"
-        << "     \"variant\": \"" << escape(e.plan.variant) << "\","
-        << " \"teams\": " << pl.teams << ", \"team_size\": " << pl.team_size
-        << ", \"T\": " << pl.steps_per_thread << ", \"bx\": " << pl.block.bx
-        << ", \"by\": " << pl.block.by << ", \"bz\": " << pl.block.bz
-        << ", \"dl\": " << pl.dl << ", \"du\": " << pl.du
-        << ", \"dt\": " << pl.dt << ",\n"
-        << "     \"bl_threads\": " << bl.threads << ", \"bl_bx\": "
-        << bl.block.bx << ", \"bl_by\": " << bl.block.by << ", \"bl_bz\": "
-        << bl.block.bz << ", \"nontemporal\": " << (bl.nontemporal ? 1 : 0)
-        << ", \"wf_threads\": " << wf.threads << ", \"wf_by\": " << wf.by
-        << ", \"lbm_aa\": "
-        << (e.plan.cfg.lbm_storage == lbm::LbmStorage::kAA ? 1 : 0)
-        << ", \"lbm_prefetch\": " << e.plan.cfg.lbm_prefetch
-        << ",\n     \"predicted_mlups\": " << e.plan.predicted_mlups
-        << ", \"measured_mlups\": " << e.plan.measured_mlups << "}"
-        << (i + 1 < entries_.size() ? "," : "") << "\n";
+    const char* sep = "    {";  // one entry per line
+    for_each_field(entries_[i], [&](const char* key, const auto& field) {
+      using T = std::decay_t<decltype(field)>;
+      out << sep << '"' << key << "\": ";
+      if constexpr (std::is_same_v<T, std::string>)
+        out << '"' << json::escape(field) << '"';
+      else if constexpr (std::is_enum_v<T>)
+        out << static_cast<int>(field);
+      else
+        out << field;  // bool prints as 0/1
+      sep = ", ";
+    });
+    out << "}" << (i + 1 < entries_.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
-  return static_cast<bool>(out);
+  out.close();
+  if (out && std::rename(tmp.c_str(), path_.c_str()) == 0) return true;
+  std::remove(tmp.c_str());
+  std::fprintf(stderr, "warning: cannot write tuning cache %s\n",
+               path_.c_str());
+  return false;
 }
 
 std::optional<Candidate> TuningCache::find(const Problem& key) const {

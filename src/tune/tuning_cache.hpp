@@ -6,8 +6,13 @@
 // Invalidation is wholesale: the file records the signature of the
 // machine that measured its plans, and loading on a machine with a
 // different signature discards everything (a plan tuned for another
-// cache hierarchy is worse than no plan).  A missing or unparsable file
-// degrades to an empty cache, never to an error.
+// cache hierarchy is worse than no plan).  The file is read with
+// util::json.  A missing file is an empty cache; so is a file that does
+// not parse to an object, after a warning naming its line:col and one
+// tune.cache.invalidated tick.  A wrong-typed, out-of-range or
+// inadmissible entry is skipped without costing the rest.  save() writes
+// <path>.tmp and renames it over the cache, so a crash mid-save leaves
+// the previous file intact.
 #pragma once
 
 #include <optional>
@@ -34,11 +39,12 @@ class TuningCache {
 
   /// Loads entries from disk; returns the number of usable entries.
   /// Missing file, malformed JSON or a machine-signature mismatch all
-  /// leave the cache empty.
+  /// leave the cache empty.  Never throws.
   std::size_t load();
 
-  /// Writes the cache (signature + all entries) to its path.  Returns
-  /// false after printing a warning when the file cannot be written.
+  /// Writes the cache (signature + all entries) to its path, atomically
+  /// via <path>.tmp.  Returns false after printing a warning when the
+  /// file cannot be written.
   [[nodiscard]] bool save() const;
 
   [[nodiscard]] std::optional<Candidate> find(const Problem& key) const;

@@ -79,6 +79,9 @@ class AlignedBuffer {
                          std::size_t alignment = kCacheLineBytes)
       : size_(count) {
     if (count == 0) return;
+    // count * sizeof(T), rounded up to the alignment, must fit a size_t.
+    if (count > (SIZE_MAX - (alignment - 1)) / sizeof(T))
+      throw std::length_error("AlignedBuffer: byte count overflows size_t");
     const std::size_t bytes = round_up(count * sizeof(T), alignment);
     data_ = static_cast<T*>(std::aligned_alloc(alignment, bytes));
     if (data_ == nullptr) throw std::bad_alloc{};

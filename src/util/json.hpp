@@ -1,21 +1,24 @@
 // Small recursive-descent JSON parser for configuration documents.
 //
-// The tuning cache gets away with a flat brace-depth scanner because its
-// rows are one level deep; scenario files are not (arrays of case
-// objects, nested default blocks), so this header supplies a real tree:
-// parse() -> Value, with typed accessors that throw descriptive
-// std::runtime_errors naming the path that went wrong.  It is a strict
-// reader for the repo's own config files, not a general serialization
-// framework: numbers are doubles, object key order is preserved for
-// deterministic iteration, duplicate keys take the last value (like
-// every lenient reader), and there is deliberately no writer — the few
-// places that emit JSON keep their hand-rolled printers, but all of them
-// quote strings through the one escape() below.
+// The one JSON reader in the repository: scenario files and the tuning
+// cache both parse through it.  parse() -> Value, with typed accessors
+// that throw descriptive std::runtime_errors naming the path that went
+// wrong.  It is a strict reader for the repo's own config files, not a
+// general serialization framework: numbers are doubles, object key order
+// is preserved for deterministic iteration, duplicate keys take the last
+// value (like every lenient reader), and there is deliberately no writer
+// — the few places that emit JSON keep their hand-rolled printers, but
+// all of them quote strings through the one escape() below.
+//
+// Hostile input fails with an error, never a crash: arrays and objects
+// nest at most kMaxDepth levels (the shipped scenarios use 4), and
+// as_int() rejects non-integral, non-finite and out-of-int-range numbers.
 #pragma once
 
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -64,11 +67,13 @@ class Value {
   }
   /// Number narrowed to int; throws when the value has a fractional part
   /// (config integers are exact — 2.5 threads is a typo, not a rounding
-  /// decision this layer should make).
+  /// decision this layer should make) or does not fit an int.
   [[nodiscard]] int as_int() const {
     const double d = as_number();
-    if (d != std::floor(d))
-      throw std::runtime_error("json: expected an integer, got " +
+    if (!std::isfinite(d) || d != std::floor(d) ||
+        d < std::numeric_limits<int>::min() ||
+        d > std::numeric_limits<int>::max())
+      throw std::runtime_error("json: expected an int, got " +
                                std::to_string(d));
     return static_cast<int>(d);
   }
@@ -127,6 +132,10 @@ class Value {
   Array arr_;
   Object obj_;
 };
+
+/// Deepest array/object nesting parse() accepts; deeper input throws
+/// instead of exhausting the stack.
+inline constexpr int kMaxDepth = 64;
 
 namespace detail {
 
@@ -187,8 +196,16 @@ class Parser {
 
   Value parse_value() {
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        ++depth_;
+        Value v = s_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Value(parse_string());
       case 't':
       case 'f': return parse_bool();
@@ -316,6 +333,7 @@ class Parser {
   const std::string& s_;
   std::string origin_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace detail

@@ -3,6 +3,8 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 
 #include "core/grid.hpp"
 #include "core/kernels.hpp"
@@ -48,6 +50,15 @@ TEST(Grid3, AtReadsWhatWasWritten) {
 TEST(Grid3, RejectsBadExtents) {
   EXPECT_THROW(Grid3(0, 4, 4), std::invalid_argument);
   EXPECT_THROW(Grid3(4, -1, 4), std::invalid_argument);
+}
+
+TEST(Grid3, RejectsExtentsThatOverflowTheAllocation) {
+  // 2^21 cubed is 2^63 elements, whose byte count wraps a 64-bit size_t
+  // to 0: unchecked, this "succeeds" over a zero-byte allocation.
+  EXPECT_THROW(Grid3(2097152, 2097152, 2097152), std::invalid_argument);
+  // Padding the row to a cache line overflows the int row pitch.
+  EXPECT_THROW(Grid3(std::numeric_limits<int>::max(), 1, 1),
+               std::invalid_argument);
 }
 
 TEST(Grid3, CloneIsDeepAndEqual) {

@@ -73,6 +73,30 @@ TEST(ScenarioConfig, RepeatDuplicatesCases) {
   EXPECT_NE(c.cases()[0].name, c.cases()[1].name);
 }
 
+TEST(ScenarioConfig, CaseCountIsCappedBeforeExpansion) {
+  // Each expanded case is held in memory before any runs (~250 B each):
+  // two billion repeats, or a 10^9-case sweep, must be refused up front.
+  EXPECT_THROW(load(R"({"cases": [ {"repeat": 2000000000} ]})"),
+               std::invalid_argument);
+  std::string list = "[1";
+  for (int i = 2; i <= 1000; ++i) {
+    list += ',';
+    list += std::to_string(i);
+  }
+  list += ']';
+  try {
+    load(R"({"cases": [ {"n": )" + list + R"(, "steps": )" + list +
+         R"(, "threads": )" + list + "} ]}");
+    FAIL() << "a 1000 x 1000 x 1000 sweep must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("100000"), std::string::npos)
+        << e.what();
+  }
+  // The cap bounds the whole file, not each case object.
+  EXPECT_THROW(load(R"({"cases": [ {"repeat": 60000}, {"repeat": 60000} ]})"),
+               std::invalid_argument);
+}
+
 TEST(ScenarioConfig, ShapeTripleWinsOverN) {
   const ScenarioConfig c = load(R"({
     "cases": [ { "shape": [9, 7, 11], "n": 32 } ]

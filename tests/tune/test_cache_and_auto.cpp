@@ -6,6 +6,7 @@
 // bit-identical to the naive reference for every operator.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -16,6 +17,7 @@
 
 #include "core/registry.hpp"
 #include "core/stencil_op.hpp"
+#include "obs/registry.hpp"
 #include "support/grid_test_utils.hpp"
 #include "topo/machine.hpp"
 #include "tune/planner.hpp"
@@ -143,6 +145,138 @@ TEST(TuningCache, MissingOrGarbageFilesDegradeToEmpty) {
   std::remove(path.c_str());
 }
 
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+std::uint64_t invalidations() {
+  return obs::Registry::global().counter_value("tune.cache.invalidated");
+}
+
+// Version-1 caches already on disk have this exact layout (three lines
+// per entry, precision-17 doubles, 0/1 flags, an escaped quote in the
+// signature); the format is unchanged, so they must load field-exact.
+TEST(TuningCache, LoadsTheVersionOneGoldenFile) {
+  const std::string path = temp_path("golden");
+  {
+    std::ofstream out(path);
+    out << R"({
+  "version": 1,
+  "signature": "tb-tune-v1|golden \"host\"|s2",
+  "entries": [
+    {"nx": 40, "ny": 36, "nz": 33, "op": "lbm", "constraint": "compressed",
+     "variant": "compressed", "teams": 2, "team_size": 3, "T": 5, "bx": 48, "by": 12, "bz": 10, "dl": 2, "du": 6, "dt": 1,
+     "bl_threads": 7, "bl_bx": 300, "bl_by": 9, "bl_bz": 11, "nontemporal": 0, "wf_threads": 4, "wf_by": 5, "lbm_aa": 1, "lbm_prefetch": 3,
+     "predicted_mlups": 0.10000000000000001, "measured_mlups": 1234.5678901234567},
+    {"nx": 24, "ny": 24, "nz": 24, "op": "jacobi", "constraint": "",
+     "variant": "wavefront", "teams": 1, "team_size": 4, "T": 1, "bx": 120, "by": 20, "bz": 20, "dl": 1, "du": 4, "dt": 0,
+     "bl_threads": 1, "bl_bx": 600, "bl_by": 20, "bl_bz": 20, "nontemporal": 1, "wf_threads": 2, "wf_by": 16, "lbm_aa": 0, "lbm_prefetch": 0,
+     "predicted_mlups": 0, "measured_mlups": 99.5}
+  ]
+}
+)";
+  }
+  TuningCache cache(path, "tb-tune-v1|golden \"host\"|s2");
+  ASSERT_EQ(cache.load(), 2u);
+
+  Problem key;
+  key.nx = 40;
+  key.ny = 36;
+  key.nz = 33;
+  key.op = "lbm";
+  key.variant = "compressed";
+  const auto hit = cache.find(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->variant, "compressed");
+  EXPECT_EQ(hit->cfg.variant, core::Variant::kPipelined);
+  const core::PipelineConfig& pl = hit->cfg.pipeline;
+  EXPECT_EQ(pl.scheme, core::GridScheme::kCompressed);
+  EXPECT_EQ(pl.teams, 2);
+  EXPECT_EQ(pl.team_size, 3);
+  EXPECT_EQ(pl.steps_per_thread, 5);
+  EXPECT_EQ(pl.block.bx, 48);
+  EXPECT_EQ(pl.block.by, 12);
+  EXPECT_EQ(pl.block.bz, 10);
+  EXPECT_EQ(pl.dl, 2);
+  EXPECT_EQ(pl.du, 6);
+  EXPECT_EQ(pl.dt, 1);
+  const core::BaselineConfig& bl = hit->cfg.baseline;
+  EXPECT_EQ(bl.threads, 7);
+  EXPECT_EQ(bl.block.bx, 300);
+  EXPECT_EQ(bl.block.by, 9);
+  EXPECT_EQ(bl.block.bz, 11);
+  EXPECT_FALSE(bl.nontemporal);
+  EXPECT_EQ(hit->cfg.wavefront.threads, 4);
+  EXPECT_EQ(hit->cfg.wavefront.by, 5);
+  EXPECT_EQ(hit->cfg.lbm_storage, lbm::LbmStorage::kAA);
+  EXPECT_EQ(hit->cfg.lbm_prefetch, 3);
+  EXPECT_EQ(hit->predicted_mlups, 0.1);  // bit-exact
+  EXPECT_EQ(hit->measured_mlups, 1234.5678901234567);
+
+  const auto wf = cache.find(cube(24));
+  ASSERT_TRUE(wf.has_value());
+  EXPECT_EQ(wf->cfg.variant, core::Variant::kWavefront);
+  EXPECT_EQ(wf->cfg.wavefront.threads, 2);
+  EXPECT_TRUE(wf->cfg.baseline.nontemporal);
+  EXPECT_EQ(wf->measured_mlups, 99.5);
+
+  // And what save() writes back loads to the same plans.
+  ASSERT_TRUE(cache.save());
+  TuningCache again(path, cache.signature());
+  ASSERT_EQ(again.load(), 2u);
+  EXPECT_EQ(again.find(key)->cfg.pipeline.describe(), pl.describe());
+  EXPECT_EQ(again.find(key)->measured_mlups, 1234.5678901234567);
+  std::remove(path.c_str());
+}
+
+// A file cut mid-write does not parse: nothing of it is salvaged, load
+// does not throw, and the discard is counted and reported with the
+// parser's line:col.
+TEST(TuningCache, TruncatedFileLoadsNothingAndCountsAnInvalidation) {
+  const std::string path = temp_path("truncated");
+  {
+    TuningCache cache(path, "sig");
+    cache.put(cube(32), pipelined_plan());
+    cache.put(cube(48), pipelined_plan());
+    cache.put(cube(64), pipelined_plan());
+    ASSERT_TRUE(cache.save());
+  }
+  const std::string text = read_text(path);
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << text.substr(0, text.size() / 2);
+  }
+  const std::uint64_t before = invalidations();
+  TuningCache cache(path, "sig");
+  ::testing::internal::CaptureStderr();
+  std::size_t loaded = 99;
+  EXPECT_NO_THROW(loaded = cache.load());
+  const std::string warning = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(loaded, 0u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(invalidations(), before + 1);
+  EXPECT_NE(warning.find(path + ":"), std::string::npos) << warning;
+  std::remove(path.c_str());
+}
+
+TEST(TuningCache, SaveReplacesTheFileAndLeavesNoTemporary) {
+  const std::string path = temp_path("atomic");
+  {
+    std::ofstream out(path);
+    out << "stale contents";
+  }
+  TuningCache cache(path, "sig");
+  cache.put(cube(32), pipelined_plan());
+  ASSERT_TRUE(cache.save());
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  TuningCache reread(path, "sig");
+  EXPECT_EQ(reread.load(), 1u);
+  std::remove(path.c_str());
+}
+
 TEST(TuningCache, CorruptEntriesAreSkippedNotFatal) {
   const std::string path = temp_path("corrupt");
   const std::string sig = "sig";
@@ -181,6 +315,30 @@ TEST(TuningCache, CorruptEntriesAreSkippedNotFatal) {
   TuningCache cache(path, sig);
   EXPECT_EQ(cache.load(), 1u);
   EXPECT_TRUE(cache.find(cube(32)).has_value());
+  std::remove(path.c_str());
+}
+
+// The typed reader drops an entry whose field has the wrong JSON type or
+// does not fit an int, and keeps the valid entries around it.
+TEST(TuningCache, WrongTypedFieldsDropOnlyTheirEntry) {
+  const std::string path = temp_path("typed");
+  {
+    std::ofstream out(path);
+    out << R"({"version": 1, "signature": "sig", "entries": [
+      {"nx": 8, "ny": 8, "nz": 8, "variant": "baseline", "bl_bx": "64"},
+      {"nx": 9, "ny": 9, "nz": 9, "variant": "baseline", "bl_threads": 3e9},
+      {"nx": 10, "ny": 10, "nz": 10, "variant": "baseline", "op": 7},
+      {"nx": 11, "ny": 11, "nz": 11, "variant": "baseline", "bl_threads": 2.5},
+      {"nx": 12, "ny": 12, "nz": 12, "variant": "baseline", "bl_threads": 2},
+      [12, 12, 12]
+    ]})";
+  }
+  TuningCache cache(path, "sig");
+  EXPECT_EQ(cache.load(), 1u);
+  const auto hit = cache.find(cube(12));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->cfg.baseline.threads, 2);
+  EXPECT_EQ(hit->cfg.baseline.block.bx, 600);  // absent field: default
   std::remove(path.c_str());
 }
 

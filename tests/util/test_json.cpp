@@ -1,8 +1,10 @@
-// util/json.hpp: the minimal JSON parser the scenario engine reads its
-// files with.  Covers the value model, typed-accessor errors, escapes,
-// numbers, document-order objects, and parse-error positions.
+// util/json.hpp: the minimal JSON parser scenario files and the tuning
+// cache are read with.  Covers the value model, typed-accessor errors,
+// escapes, numbers, document-order objects, parse-error positions and the
+// nesting-depth limit.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -24,6 +26,13 @@ TEST(Json, ParsesScalars) {
 TEST(Json, IntRejectsFractions) {
   EXPECT_THROW((void)parse("1.5").as_int(), std::runtime_error);
   EXPECT_EQ(parse("2.0").as_int(), 2);  // integral value, fine
+  // Integral but outside int (the cast would be undefined), or infinite.
+  EXPECT_THROW((void)parse("1e10").as_int(), std::runtime_error);
+  EXPECT_THROW((void)parse("3e9").as_int(), std::runtime_error);
+  EXPECT_THROW((void)parse("-3e9").as_int(), std::runtime_error);
+  EXPECT_THROW((void)parse("1e999").as_int(), std::runtime_error);
+  EXPECT_EQ(parse("2147483647").as_int(), std::numeric_limits<int>::max());
+  EXPECT_EQ(parse("-2147483648").as_int(), std::numeric_limits<int>::min());
 }
 
 TEST(Json, ArraysAndNesting) {
@@ -103,6 +112,27 @@ TEST(Json, RejectsTrailingGarbageAndPartialLiterals) {
   EXPECT_THROW((void)parse("[1,]"), std::runtime_error);
   EXPECT_THROW((void)parse(""), std::runtime_error);
   EXPECT_THROW((void)parse("\"unterminated"), std::runtime_error);
+}
+
+TEST(Json, NestingDepthIsCapped) {
+  // One recursion per bracket: without the limit this exhausts the stack.
+  EXPECT_THROW((void)parse(std::string(100000, '[')), std::runtime_error);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\": ";
+  EXPECT_THROW((void)parse(objects), std::runtime_error);
+
+  const std::string deepest =
+      std::string(kMaxDepth, '[') + std::string(kMaxDepth, ']');
+  EXPECT_TRUE(parse(deepest).is_array());
+  try {
+    (void)parse("[" + deepest + "]", "deep.json");
+    FAIL() << "nesting past kMaxDepth must throw";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("deep.json:1:" + std::to_string(kMaxDepth + 1)),
+              std::string::npos)
+        << msg;
+  }
 }
 
 TEST(Json, ParseFileMissingThrows) {

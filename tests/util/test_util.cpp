@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/aligned_buffer.hpp"
 #include "util/args.hpp"
@@ -49,6 +51,15 @@ TEST(AlignedBuffer, MoveTransfersOwnership) {
   AlignedBuffer<double> c(1);
   c = std::move(b);
   EXPECT_EQ(c.data(), p);
+}
+
+TEST(AlignedBuffer, RejectsByteCountsThatOverflow) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const std::uint64_t allocs = buffer_alloc_count();
+  EXPECT_THROW(AlignedBuffer<double>(kMax / 4), std::length_error);
+  // count * sizeof(T) fits; its round-up to the alignment does not.
+  EXPECT_THROW(AlignedBuffer<char>(kMax - 10), std::length_error);
+  EXPECT_EQ(buffer_alloc_count(), allocs);
 }
 
 TEST(AlignedBuffer, IterationCoversAll) {
