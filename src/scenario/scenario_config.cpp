@@ -6,6 +6,7 @@
 #include <initializer_list>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace tb::scenario {
 
@@ -40,11 +41,27 @@ void check_choice(const char* key, const std::string& value,
   throw std::invalid_argument(os.str());
 }
 
+// Upper bounds on the sizing keys.  The shipped scenarios use n <= 48,
+// steps <= 40 and threads <= 2.  An edge of at most kMaxEdge keeps a
+// grid's cell count (2^30 at the cap) inside int.
+constexpr int kMaxEdge = 1024;
+constexpr int kMaxSteps = 1000000;
+constexpr int kMaxThreads = 1024;
+
 int positive_int(const char* key, const json::Value& v) {
   const int n = v.as_int();
   if (n < 1)
     throw std::invalid_argument(std::string("scenario: \"") + key +
                                 "\" must be >= 1");
+  return n;
+}
+
+/// positive_int, at most `max`.
+int bounded_int(const char* key, const json::Value& v, int max) {
+  const int n = positive_int(key, v);
+  if (n > max)
+    throw std::invalid_argument(std::string("scenario: \"") + key +
+                                "\" must be <= " + std::to_string(max));
   return n;
 }
 
@@ -61,21 +78,21 @@ void apply_key(CaseSpec& spec, bool& saw_shape, const std::string& key,
     spec.variant = v.as_string();
   } else if (key == "n") {
     if (saw_shape) return;  // explicit shape wins
-    const int n = positive_int("n", v);
+    const int n = bounded_int("n", v, kMaxEdge);
     spec.nx = spec.ny = spec.nz = n;
   } else if (key == "shape") {
     const json::Array& a = v.as_array();
     if (a.size() != 3)
       throw std::invalid_argument(
           "scenario: \"shape\" must be a [nx, ny, nz] triple");
-    spec.nx = positive_int("shape", a[0]);
-    spec.ny = positive_int("shape", a[1]);
-    spec.nz = positive_int("shape", a[2]);
+    spec.nx = bounded_int("shape", a[0], kMaxEdge);
+    spec.ny = bounded_int("shape", a[1], kMaxEdge);
+    spec.nz = bounded_int("shape", a[2], kMaxEdge);
     saw_shape = true;
   } else if (key == "steps") {
-    spec.steps = positive_int("steps", v);
+    spec.steps = bounded_int("steps", v, kMaxSteps);
   } else if (key == "threads") {
-    spec.threads = positive_int("threads", v);
+    spec.threads = bounded_int("threads", v, kMaxThreads);
   } else if (key == "initial") {
     spec.initial = v.as_string();
     check_choice("initial", spec.initial, {"pattern", "uniform", "hot-face"});

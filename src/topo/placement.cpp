@@ -4,12 +4,11 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "util/aligned_buffer.hpp"
 #include "util/slices.hpp"
 
 namespace tb::topo {
 namespace {
-
-constexpr std::size_t kDoublesPerPage = kPageBytes / sizeof(double);
 
 void zero_range(double* data, std::size_t begin, std::size_t end) {
   if (end > begin) std::memset(data + begin, 0, (end - begin) * sizeof(double));
@@ -40,6 +39,18 @@ void write_range(double* dst, std::size_t begin, std::size_t end,
 
 }  // namespace
 
+PageSplit split_pages(std::uintptr_t base, std::size_t count,
+                      std::size_t page_bytes) {
+  PageSplit split;
+  split.count = count;
+  split.per_page = page_bytes / sizeof(double);
+  // Elements from `base` up to the next page boundary (a whole page
+  // when `base` sits on one).
+  const std::size_t to_boundary = page_bytes - base % page_bytes;
+  split.head = std::min(count, to_boundary / sizeof(double));
+  return split;
+}
+
 void touch_pages(std::initializer_list<double*> dsts, std::size_t count,
                  PagePlacement policy, int threads, PageSource src) {
   if (src.data != nullptr && (src.stride == 0 || src.width > src.stride))
@@ -48,43 +59,18 @@ void touch_pages(std::initializer_list<double*> dsts, std::size_t count,
   if (count == 0) return;
   const int writers =
       policy == PagePlacement::kSerial ? 1 : std::max(1, threads);
-  const std::size_t pages = (count + kDoublesPerPage - 1) / kDoublesPerPage;
-  const auto write_page = [&](std::size_t p) {
-    const std::size_t begin = p * kDoublesPerPage;
-    const std::size_t end = std::min(begin + kDoublesPerPage, count);
-    for (double* d : dsts) write_range(d, begin, end, src);
-  };
+  const std::size_t page_bytes =
+      util::backing_page_bytes(count * sizeof(double));
   util::for_each_slice(
-      writers, std::size_t{0}, pages,
-      [&](int t, std::size_t p0, std::size_t p1) {
-        if (policy == PagePlacement::kRoundRobin) {
-          // Thread t writes pages t, t+writers, t+2*writers, ...
-          for (std::size_t p = static_cast<std::size_t>(t); p < pages;
-               p += static_cast<std::size_t>(writers))
-            write_page(p);
-        } else {  // first-touch (or serial): one contiguous run of pages
-          for (std::size_t p = p0; p < p1; ++p) write_page(p);
+      writers, 0, writers, [&](int t, int /*s0*/, int /*s1*/) {
+        for (double* d : dsts) {
+          const PageSplit split = split_pages(
+              reinterpret_cast<std::uintptr_t>(d), count, page_bytes);
+          for_each_owned_page(split, policy, t, writers, [&](std::size_t u) {
+            write_range(d, split.begin(u), split.end(u), src);
+          });
         }
       });
-}
-
-int page_domain(std::size_t index, PagePlacement policy, int domains,
-                std::size_t elems_per_domain) {
-  if (domains <= 1) return 0;
-  const std::size_t page = index / kDoublesPerPage;
-  switch (policy) {
-    case PagePlacement::kRoundRobin:
-      return static_cast<int>(page % static_cast<std::size_t>(domains));
-    case PagePlacement::kFirstTouch: {
-      if (elems_per_domain == 0) return 0;
-      const std::size_t d = index / elems_per_domain;
-      return static_cast<int>(
-          std::min<std::size_t>(d, static_cast<std::size_t>(domains - 1)));
-    }
-    case PagePlacement::kSerial:
-      return 0;
-  }
-  return 0;
 }
 
 }  // namespace tb::topo

@@ -14,11 +14,12 @@
 // distribution across controllers.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <initializer_list>
-#include <thread>
-#include <vector>
+
+#include "util/slices.hpp"
 
 namespace tb::topo {
 
@@ -38,7 +39,52 @@ enum class PagePlacement {
   return "?";
 }
 
-inline constexpr std::size_t kPageBytes = 4096;
+/// Elements [0, count) of an array of doubles at address `base`, cut into
+/// its backing pages: the page boundaries are the address multiples of
+/// `page_bytes`, so a base inside a page makes page 0 a short head, and
+/// the last page may be short too.  Page u covers [begin(u), end(u)).
+struct PageSplit {
+  std::size_t count = 0;     ///< elements covered
+  std::size_t head = 0;      ///< elements of page 0; 0 <=> count == 0
+  std::size_t per_page = 1;  ///< elements of every full page
+
+  [[nodiscard]] std::size_t pages() const noexcept {
+    return count == 0 ? 0 : 1 + (count - head + per_page - 1) / per_page;
+  }
+  [[nodiscard]] std::size_t begin(std::size_t u) const noexcept {
+    return u == 0 ? 0 : std::min(count, head + (u - 1) * per_page);
+  }
+  [[nodiscard]] std::size_t end(std::size_t u) const noexcept {
+    return begin(u + 1);
+  }
+};
+
+/// The split of `count` doubles at `base` into pages of `page_bytes`
+/// (both multiples of sizeof(double)).
+[[nodiscard]] PageSplit split_pages(std::uintptr_t base, std::size_t count,
+                                    std::size_t page_bytes);
+
+/// Calls fn(u) for every page u of `split` that initializer thread t of
+/// `writers` writes first under `policy`: round-robin pages t,
+/// t + writers, t + 2*writers, ...; first-touch one contiguous run, the
+/// balanced split of util::for_each_slice; serial every page for t = 0.
+template <class Fn>
+void for_each_owned_page(const PageSplit& split, PagePlacement policy, int t,
+                         int writers, Fn&& fn) {
+  const std::size_t pages = split.pages();
+  const auto tt = static_cast<std::size_t>(t);
+  if (policy == PagePlacement::kRoundRobin) {
+    for (std::size_t u = tt; u < pages; u += static_cast<std::size_t>(writers))
+      fn(u);
+    return;
+  }
+  const std::size_t parts =
+      policy == PagePlacement::kSerial ? 1 : static_cast<std::size_t>(writers);
+  if (tt >= parts) return;
+  const std::size_t last = util::slice_begin(pages, tt + 1, parts);
+  for (std::size_t u = util::slice_begin(pages, tt, parts); u < last; ++u)
+    fn(u);
+}
 
 /// What touch_pages writes.  The default, a null `data`, writes zeros.
 /// Otherwise `data` is laid out like the destinations — rows `stride`
@@ -53,23 +99,25 @@ struct PageSource {
 };
 
 /// Writes the first `count` elements of every destination in `dsts`
-/// according to `policy`, using `threads` logical initializer threads:
-/// each page is written first by the thread the policy assigns it to
-/// (round-robin: page p by thread p mod threads; first-touch: one
-/// contiguous run of pages per thread; serial: the calling thread),
-/// establishing first-touch homing on real ccNUMA hardware and a
-/// deterministic initialization everywhere else.  All destinations
-/// share the page assignment, so one call places a solver's grid pair
-/// identically while each source page is read once.  Row padding ends
-/// up zero with or without a source.  Throws std::invalid_argument for
-/// a source with stride 0 or width > stride.
+/// according to `policy`, using `threads` logical initializer threads.
+/// A page is a page that backs the destination: an address-aligned
+/// 4 KiB page, or a 2 MiB one when `count` doubles reach the 32 MiB at
+/// which util::AlignedBuffer asks for huge pages (glibc maps buffers
+/// that large fresh, so the advice never lands on recycled heap memory;
+/// util::backing_page_bytes).
+/// Each page is written first by exactly the one thread the policy
+/// assigns it to (for_each_owned_page: round-robin page u by thread
+/// u mod threads, first-touch one contiguous run of pages per thread,
+/// serial the calling thread), establishing first-touch homing on real
+/// ccNUMA hardware and a deterministic initialization everywhere else.
+/// Destinations may sit at different offsets in their pages, so each is
+/// split on its own and a source row may be read once per destination.
+/// Do not align a grid pair to 2 MiB to make the splits coincide: a[i]
+/// and b[i] then share cache sets, and pipelined Jacobi at the memory
+/// tier lost a third of its throughput (see util/aligned_buffer.hpp).
+/// Row padding ends up zero with or without a source.  Throws
+/// std::invalid_argument for a source with stride 0 or width > stride.
 void touch_pages(std::initializer_list<double*> dsts, std::size_t count,
                  PagePlacement policy, int threads, PageSource src = {});
-
-/// Returns the locality domain (0..domains-1) that `policy` assigns to the
-/// page containing element `index`; used by the machine simulator to model
-/// per-controller traffic.
-[[nodiscard]] int page_domain(std::size_t index, PagePlacement policy,
-                              int domains, std::size_t elems_per_domain);
 
 }  // namespace tb::topo

@@ -10,19 +10,23 @@
 // — the few places that emit JSON keep their hand-rolled printers, but
 // all of them quote strings through the one escape() below.
 //
-// Hostile input fails with an error, never a crash: arrays and objects
-// nest at most kMaxDepth levels (the shipped scenarios use 4), and
-// as_int() rejects non-integral, non-finite and out-of-int-range numbers.
+// Hostile input fails with an error, never a crash: parse_file reads at
+// most kMaxDocumentBytes, arrays and objects nest at most kMaxDepth
+// levels (the shipped scenarios use 4), and as_int() rejects
+// non-integral, non-finite and out-of-int-range numbers.
 #pragma once
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -367,14 +371,34 @@ class Parser {
   return out;
 }
 
+/// Largest file parse_file reads.  The shipped scenarios are a few KiB
+/// and a tuning cache holds a few hundred bytes per tuned shape, so a
+/// larger file is not a config document; it is refused while reading,
+/// before it can fill memory (a FIFO or /dev/zero never ends).
+inline constexpr std::size_t kMaxDocumentBytes = std::size_t{16} << 20;
+
 /// Reads and parses a JSON file; throws std::runtime_error naming the
-/// path on read or parse failure.
+/// path on read or parse failure, and naming the path and the size for a
+/// file over kMaxDocumentBytes.
 [[nodiscard]] inline Value parse_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("json: cannot read '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse(ss.str(), path);
+  std::string text;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk), in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+    if (text.size() > kMaxDocumentBytes) {
+      std::error_code ec;  // no size for a stream that is not a file
+      const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+      throw std::runtime_error(
+          "json: '" + path + "' is " +
+          (ec ? "more than " + std::to_string(kMaxDocumentBytes)
+              : std::to_string(bytes)) +
+          " bytes; documents are limited to " +
+          std::to_string(kMaxDocumentBytes) + " bytes");
+    }
+  }
+  return parse(text, path);
 }
 
 }  // namespace tb::util::json

@@ -127,6 +127,44 @@ TEST(ScenarioConfig, RejectsUnknownKeysAndSections) {
                std::invalid_argument);
 }
 
+/// Expects loading `text` to throw std::invalid_argument naming `key`.
+void expect_rejected(const std::string& text, const std::string& key) {
+  try {
+    (void)load(text);
+    ADD_FAILURE() << "must throw: " << text;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find('"' + key + '"'), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ScenarioConfig, EdgeIsBounded) {
+  EXPECT_EQ(load(R"({ "cases": [ { "n": 1024 } ] })").cases()[0].nz, 1024);
+  expect_rejected(R"({ "cases": [ { "n": 1025 } ] })", "n");
+  expect_rejected(R"({ "cases": [ { "n": [16, 2000000000] } ] })", "n");
+}
+
+TEST(ScenarioConfig, ShapeEntriesAreBounded) {
+  EXPECT_EQ(load(R"({ "cases": [ { "shape": [8, 1024, 8] } ] })")
+                .cases()[0]
+                .ny,
+            1024);
+  expect_rejected(R"({ "cases": [ { "shape": [8, 8, 1025] } ] })", "shape");
+}
+
+TEST(ScenarioConfig, StepsAreBounded) {
+  EXPECT_EQ(load(R"({ "cases": [ { "steps": 1000000 } ] })").cases()[0].steps,
+            1000000);
+  expect_rejected(R"({ "cases": [ { "steps": 1000001 } ] })", "steps");
+}
+
+TEST(ScenarioConfig, ThreadsAreBounded) {
+  EXPECT_EQ(load(R"({ "cases": [ { "threads": 1024 } ] })").cases()[0].threads,
+            1024);
+  expect_rejected(R"({ "defaults": { "threads": 1025 }, "cases": [ {} ] })",
+                  "threads");
+}
+
 struct RecordingConsumer final : IScenarioConsumer {
   std::string seen;
   [[nodiscard]] std::string_view section() const override {

@@ -1,6 +1,8 @@
 // Unit tests for the topology substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -11,6 +13,7 @@
 #include "topo/affinity.hpp"
 #include "topo/machine.hpp"
 #include "topo/placement.hpp"
+#include "util/aligned_buffer.hpp"
 
 namespace tb::topo {
 namespace {
@@ -102,7 +105,7 @@ TEST(Placement, ToString) {
 class TouchPages : public ::testing::TestWithParam<PagePlacement> {};
 
 TEST_P(TouchPages, ZeroesEverything) {
-  const std::size_t n = 3 * kPageBytes / sizeof(double) + 17;
+  const std::size_t n = 3 * util::kPageBytes / sizeof(double) + 17;
   std::vector<double> data(n, -1.0);
   touch_pages({data.data()}, n, GetParam(), 3);
   for (double x : data) EXPECT_EQ(x, 0.0);
@@ -149,6 +152,48 @@ TEST_P(TouchPagesCopy, MatchesPerCellCopyWithZeroPadding) {
   EXPECT_EQ(std::memcmp(b.data(), want.data(), bytes), 0);
 }
 
+// A pair of at least util::kHugePageAdviceBytes is split at 2 MiB
+// boundaries.  The two destinations sit at different offsets in their
+// huge pages (neither on a 4 KiB boundary), so their page splits differ
+// and every row crosses page boundaries at different elements in each.
+TEST_P(TouchPagesCopy, LargePairAtDifferentHugePageOffsets) {
+  const auto [policy, threads] = GetParam();
+  core::Grid3 src(253, 128, 130);  // rows padded to 256 elements
+  ASSERT_GE(src.size() * sizeof(double), util::kHugePageAdviceBytes);
+  src.fill(std::numeric_limits<double>::quiet_NaN());
+  core::Grid3 want(253, 128, 130);
+  want.fill(0.0);
+  for (int k = 0; k < src.nz(); ++k)
+    for (int j = 0; j < src.ny(); ++j)
+      for (int i = 0; i < src.nx(); ++i) {
+        src.at(i, j, k) = 0.25 + i + 1.0e3 * j + 1.0e6 * k;
+        want.at(i, j, k) = src.at(i, j, k);
+      }
+
+  // A pointer into `buf` whose address is `offset` mod 2 MiB.
+  const std::size_t huge_elems = util::kHugePageBytes / sizeof(double);
+  const auto at_offset = [&](util::AlignedBuffer<double>& buf,
+                             std::size_t offset) {
+    const auto addr = reinterpret_cast<std::uintptr_t>(buf.data());
+    const std::size_t shift =
+        (offset + util::kHugePageBytes - addr % util::kHugePageBytes) %
+        util::kHugePageBytes;
+    return buf.data() + shift / sizeof(double);
+  };
+  util::AlignedBuffer<double> a_buf(src.size() + huge_elems),
+      b_buf(src.size() + huge_elems);
+  double* a = at_offset(a_buf, 64);
+  double* b = at_offset(b_buf, (std::size_t{1} << 20) + 4096 + 24);
+  std::fill(a, a + src.size(), -1.0);
+  std::fill(b, b + src.size(), -2.0);
+  touch_pages({a, b}, src.size(), policy, threads,
+              {src.data(), static_cast<std::size_t>(src.nx()),
+               static_cast<std::size_t>(src.stride_x())});
+  const std::size_t bytes = want.size() * sizeof(double);
+  EXPECT_EQ(std::memcmp(a, want.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(b, want.data(), bytes), 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     PoliciesByThreads, TouchPagesCopy,
     ::testing::Combine(::testing::Values(PagePlacement::kFirstTouch,
@@ -166,22 +211,66 @@ TEST(TouchPagesSource, RejectsMalformedRows) {
                std::invalid_argument);
 }
 
-TEST(PageDomain, RoundRobinInterleaves) {
-  const std::size_t per_page = kPageBytes / sizeof(double);
-  EXPECT_EQ(page_domain(0, PagePlacement::kRoundRobin, 2, 0), 0);
-  EXPECT_EQ(page_domain(per_page, PagePlacement::kRoundRobin, 2, 0), 1);
-  EXPECT_EQ(page_domain(2 * per_page, PagePlacement::kRoundRobin, 2, 0), 0);
-}
+// Bases at several offsets mod 4 KiB and mod 2 MiB, each split at both
+// page sizes: the pages are the address-aligned pieces of [0, count), and
+// every page has exactly one first writer under every policy.
+TEST(SplitPages, AddressAlignedPagesWithOneWriterEach) {
+  const std::uintptr_t region = std::uintptr_t{1} << 40;  // 2 MiB-aligned
+  for (const std::size_t page_bytes : {util::kPageBytes, util::kHugePageBytes})
+    for (const std::uintptr_t offset :
+         {std::uintptr_t{0}, std::uintptr_t{8}, std::uintptr_t{64},
+          std::uintptr_t{4096 - 8}, std::uintptr_t{4096 + 64},
+          std::uintptr_t{1} << 20, (std::uintptr_t{2} << 20) - 64})
+      for (const std::size_t count :
+           {std::size_t{1}, std::size_t{511}, std::size_t{512},
+            std::size_t{3 * 512 + 17}, std::size_t{3 * 262144 + 5}}) {
+        SCOPED_TRACE(::testing::Message() << "page " << page_bytes
+                                          << " offset " << offset
+                                          << " count " << count);
+        const std::uintptr_t base = region + offset;
+        const PageSplit split = split_pages(base, count, page_bytes);
+        const std::size_t pages = split.pages();
+        ASSERT_GE(pages, 1u);
+        EXPECT_EQ(split.begin(0), 0u);
+        EXPECT_EQ(split.end(pages - 1), count);
+        for (std::size_t u = 0; u < pages; ++u) {
+          ASSERT_LT(split.begin(u), split.end(u)) << "page " << u;
+          if (u > 0) {
+            EXPECT_EQ(split.begin(u), split.end(u - 1));
+            EXPECT_EQ((base + split.begin(u) * sizeof(double)) % page_bytes,
+                      0u)
+                << "page " << u << " does not start on a page boundary";
+          }
+          // The last element of page u lies in the same real page.
+          EXPECT_EQ((base + split.begin(u) * sizeof(double)) / page_bytes,
+                    (base + (split.end(u) - 1) * sizeof(double)) / page_bytes)
+              << "page " << u;
+        }
 
-TEST(PageDomain, FirstTouchIsContiguous) {
-  EXPECT_EQ(page_domain(10, PagePlacement::kFirstTouch, 2, 100), 0);
-  EXPECT_EQ(page_domain(150, PagePlacement::kFirstTouch, 2, 100), 1);
-  // Clamped to the last domain.
-  EXPECT_EQ(page_domain(1000, PagePlacement::kFirstTouch, 2, 100), 1);
-}
-
-TEST(PageDomain, SingleDomain) {
-  EXPECT_EQ(page_domain(12345, PagePlacement::kRoundRobin, 1, 0), 0);
+        for (const PagePlacement policy :
+             {PagePlacement::kFirstTouch, PagePlacement::kRoundRobin,
+              PagePlacement::kSerial})
+          for (const int writers : {1, 3, 4}) {
+            std::vector<int> owner(pages, -1);
+            for (int t = 0; t < writers; ++t)
+              for_each_owned_page(split, policy, t, writers,
+                                  [&](std::size_t u) {
+                                    ASSERT_LT(u, pages);
+                                    EXPECT_EQ(owner[u], -1) << "page " << u;
+                                    owner[u] = t;
+                                  });
+            for (std::size_t u = 0; u < pages; ++u) {
+              ASSERT_NE(owner[u], -1) << "page " << u << " never written";
+              if (policy == PagePlacement::kRoundRobin) {
+                EXPECT_EQ(owner[u], static_cast<int>(u % writers));
+              } else if (policy == PagePlacement::kSerial) {
+                EXPECT_EQ(owner[u], 0);
+              } else if (u > 0) {  // first-touch: one contiguous run each
+                EXPECT_GE(owner[u], owner[u - 1]);
+              }
+            }
+          }
+      }
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // util/json.hpp: the minimal JSON parser scenario files and the tuning
 // cache are read with.  Covers the value model, typed-accessor errors,
-// escapes, numbers, document-order objects, parse-error positions and the
-// nesting-depth limit.
+// escapes, numbers, document-order objects, parse-error positions, the
+// nesting-depth limit and parse_file's document-size limit.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -138,6 +140,32 @@ TEST(Json, NestingDepthIsCapped) {
 TEST(Json, ParseFileMissingThrows) {
   EXPECT_THROW((void)parse_file("/nonexistent/scenario.json"),
                std::runtime_error);
+}
+
+// A file of whitespace around "{}" is valid JSON at any length, so only
+// the size cap can reject the larger one.
+TEST(Json, ParseFileRejectsDocumentsOverTheSizeCap) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "tb_json_size_cap.json")
+          .string();
+  const auto write = [&](std::size_t bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "{}" << std::string(bytes - 2, ' ');
+  };
+  write(kMaxDocumentBytes);
+  EXPECT_TRUE(parse_file(path).is_object());
+  write(kMaxDocumentBytes + 1);
+  try {
+    (void)parse_file(path);
+    ADD_FAILURE() << "a document over the size cap must throw";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(path), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::to_string(kMaxDocumentBytes + 1)),
+              std::string::npos)
+        << msg;
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

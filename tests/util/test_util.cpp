@@ -5,13 +5,14 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "util/aligned_buffer.hpp"
 #include "util/args.hpp"
 #include "util/slices.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -70,6 +71,63 @@ TEST(AlignedBuffer, IterationCoversAll) {
   EXPECT_EQ(sum, 17.0);
 }
 
+#if defined(__linux__)
+/// The VmFlags line of the mapping in /proc/self/smaps that contains
+/// `addr`, or nullopt when smaps cannot be read or has no such mapping.
+std::optional<std::string> vm_flags(const void* addr) {
+  std::ifstream in("/proc/self/smaps");
+  if (!in) return std::nullopt;
+  const auto a = reinterpret_cast<std::uintptr_t>(addr);
+  bool inside = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string first;
+    fields >> first;
+    if (first.empty()) continue;
+    if (first.back() == ':') {  // "Key: value" line of the current mapping
+      if (inside && first == "VmFlags:") return line;
+      continue;
+    }
+    // Mapping header: "start-end perms offset dev inode [path]".
+    const std::size_t dash = first.find('-');
+    if (dash == std::string::npos) continue;
+    const std::uintptr_t lo = std::stoull(first.substr(0, dash), nullptr, 16);
+    const std::uintptr_t hi = std::stoull(first.substr(dash + 1), nullptr, 16);
+    inside = lo <= a && a < hi;
+  }
+  return std::nullopt;
+}
+
+bool has_flag(const std::string& vm_flags_line, const std::string& flag) {
+  std::istringstream fields(vm_flags_line);
+  std::string f;
+  while (fields >> f)
+    if (f == flag) return true;
+  return false;
+}
+
+// Only buffers of at least kHugePageAdviceBytes carry MADV_HUGEPAGE
+// ("hg"), and only on their 2 MiB-aligned interior.
+TEST(AlignedBuffer, LargeBuffersAdviseHugePages) {
+  if (!std::filesystem::exists("/sys/kernel/mm/transparent_hugepage"))
+    GTEST_SKIP() << "kernel without transparent huge pages";
+  const AlignedBuffer<double> small((std::size_t{4} << 20) / sizeof(double));
+  const std::optional<std::string> small_flags = vm_flags(small.data());
+  if (!small_flags) GTEST_SKIP() << "/proc/self/smaps is not readable";
+  EXPECT_FALSE(has_flag(*small_flags, "hg")) << *small_flags;
+
+  const AlignedBuffer<double> large((std::size_t{64} << 20) / sizeof(double));
+  const auto first = reinterpret_cast<std::uintptr_t>(large.data());
+  const std::uintptr_t interior =
+      (first + kHugePageBytes - 1) / kHugePageBytes * kHugePageBytes;
+  const std::optional<std::string> large_flags =
+      vm_flags(reinterpret_cast<const void*>(interior));
+  ASSERT_TRUE(large_flags.has_value());
+  EXPECT_TRUE(has_flag(*large_flags, "hg")) << *large_flags;
+}
+#endif
+
 TEST(Timer, MeasuresElapsedTime) {
   Timer t;
   volatile double x = 0;
@@ -84,42 +142,6 @@ TEST(Timer, MlupsConversion) {
   EXPECT_DOUBLE_EQ(mlups(2e6, 1.0), 2.0);
   EXPECT_DOUBLE_EQ(mlups(1e6, 0.0), 0.0);  // guards divide-by-zero
   EXPECT_DOUBLE_EQ(glups(2e9, 1.0), 2.0);
-}
-
-TEST(Stats, EmptySample) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.mean, 0.0);
-}
-
-TEST(Stats, SingleElement) {
-  const double x = 3.5;
-  const Summary s = summarize(std::span<const double>(&x, 1));
-  EXPECT_EQ(s.min, 3.5);
-  EXPECT_EQ(s.max, 3.5);
-  EXPECT_EQ(s.median, 3.5);
-  EXPECT_EQ(s.stddev, 0.0);
-}
-
-TEST(Stats, KnownValues) {
-  const std::vector<double> xs{4, 1, 3, 2};
-  const Summary s = summarize(xs);
-  EXPECT_EQ(s.min, 1.0);
-  EXPECT_EQ(s.max, 4.0);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.median, 2.5);  // even count: midpoint average
-  EXPECT_NEAR(s.stddev, 1.29099, 1e-4);
-}
-
-TEST(Stats, OddMedian) {
-  const std::vector<double> xs{9, 1, 5};
-  EXPECT_DOUBLE_EQ(summarize(xs).median, 5.0);
-}
-
-TEST(Stats, RelDiff) {
-  EXPECT_DOUBLE_EQ(rel_diff(1.0, 1.0), 0.0);
-  EXPECT_NEAR(rel_diff(1.0, 1.1), 0.1 / 1.1, 1e-12);
-  EXPECT_EQ(rel_diff(0.0, 0.0), 0.0);
 }
 
 TEST(Table, AlignedOutputAndCsv) {
