@@ -22,8 +22,8 @@
 // Part 3 is what the threads cannot do: a weak-scaling sweep to O(10^4)
 // modeled ranks over the chosen fabric (--topology, default the paper's
 // non-blocking fat-tree), each point cross-checked against the closed
-// perfmodel::evaluate_cluster prediction and emitted as modeled rows
-// into BENCH_simnet.json / the run database.
+// perfmodel::evaluate_cluster prediction; with TB_TELEMETRY=1 its
+// modeled rows are appended to the run database ($TB_RUNDB).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -35,6 +35,8 @@
 #include "core/reference.hpp"
 #include "dist/rank_program.hpp"
 #include "dist/registry.hpp"
+#include "obs/obs.hpp"
+#include "obs/rundb.hpp"
 #include "perfmodel/cluster_model.hpp"
 #include "perfmodel/model_api.hpp"
 #include "simnet/event/cluster_sweep.hpp"
@@ -224,9 +226,18 @@ int main(int argc, char** argv) {
   }
   s.print();
 
-  tb::obs::write_bench_json("simnet", tb::simnet::event::sweep_rows(sweep));
+  if (tb::obs::enabled()) {
+    const std::vector<tb::obs::RunRow> rows =
+        tb::simnet::event::sweep_rows(sweep);
+    tb::obs::append_run_rows(tb::obs::default_rundb_path(), rows);
+    std::printf("\n(%zu modeled rows appended to %s)\n", rows.size(),
+                tb::obs::default_rundb_path().c_str());
+  } else {
+    std::printf("\n(modeled rows not saved: set TB_TELEMETRY=1 to append "
+                "them to the run database)\n");
+  }
   std::printf(
-      "\n(modeled rows written to BENCH_simnet.json; thread-backed part 1\n"
-      "stays the executing oracle — see README \"Simulated cluster\")\n");
+      "(thread-backed part 1 stays the executing oracle — see README\n"
+      "\"Simulated cluster\")\n");
   return 0;
 }

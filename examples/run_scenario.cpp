@@ -9,11 +9,13 @@
 // share the session's tuning cache, so repeat shapes replay their plan
 // with zero probes.  With TB_TELEMETRY=1 every case appends one
 // model-vs-measured row to the run database ($TB_RUNDB) and records a
-// scenario.case trace span — the same sinks the benches and examples
-// use.  This binary replaces the one-main()-per-workload pattern: new
+// scenario.case trace span, and every "cluster" sweep point appends
+// its modeled rows — the same sinks the benches and examples use.
+// This binary replaces the one-main()-per-workload pattern: new
 // workloads are .json files under scenarios/, not new C++.
 #include <cstdio>
 
+#include "obs/obs.hpp"
 #include "scenario/cluster_section.hpp"
 #include "scenario/scenario_engine.hpp"
 #include "tune/planner.hpp"  // linking tb_tune registers --variant auto
@@ -30,11 +32,17 @@ int main(int argc, char** argv) {
     return 2;
   }
   // "cluster" sections route modeled scaling sweeps through the
-  // discrete-event simnet backend; their rows land in BENCH_simnet.json
-  // (and the run database when telemetry is on) next to the case rows.
-  tb::scenario::ClusterSection cluster({/*verbose=*/true,
-                                        /*bench=*/"simnet"});
-  return tb::scenario::run_scenario_file(flags.scenario,
-                                         args.get("tune-cache", ""),
-                                         {&cluster});
+  // discrete-event simnet backend; with telemetry on, their rows are
+  // appended to the run database next to the case rows.
+  tb::scenario::ClusterSection cluster(/*verbose=*/true);
+  const int rc = tb::scenario::run_scenario_file(
+      flags.scenario, args.get("tune-cache", ""), {&cluster});
+  const std::size_t n = cluster.rows().size();
+  if (n > 0 && tb::obs::enabled())
+    std::printf("(%zu modeled cluster rows appended to %s)\n", n,
+                tb::obs::default_rundb_path().c_str());
+  else if (n > 0)
+    std::printf("(%zu modeled cluster rows not saved: set TB_TELEMETRY=1 "
+                "to append them to the run database)\n", n);
+  return rc;
 }

@@ -37,20 +37,4 @@ inline Grid3& reference_solve(Grid3& a, Grid3& b, int steps) {
   return *src;
 }
 
-/// Copies the six boundary faces of `src` into `dst` (both grids must have
-/// the same shape).  Two-grid schemes need identical Dirichlet layers in
-/// both buffers since sweeps alternate the roles of the grids.
-inline void copy_boundary(const Grid3& src, Grid3& dst) {
-  const int nx = src.nx(), ny = src.ny(), nz = src.nz();
-  for (int k = 0; k < nz; ++k)
-    for (int j = 0; j < ny; ++j) {
-      if (k == 0 || k == nz - 1 || j == 0 || j == ny - 1) {
-        for (int i = 0; i < nx; ++i) dst.at(i, j, k) = src.at(i, j, k);
-      } else {
-        dst.at(0, j, k) = src.at(0, j, k);
-        dst.at(nx - 1, j, k) = src.at(nx - 1, j, k);
-      }
-    }
-}
-
 }  // namespace tb::core

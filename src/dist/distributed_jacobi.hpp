@@ -357,9 +357,6 @@ class DistributedStencil {
   [[nodiscard]] int to_global(int local, int d) const {
     return own_lo_[d] - halo_ + local;
   }
-  [[nodiscard]] int to_local(int global, int d) const {
-    return global - own_lo_[d] + halo_;
-  }
 
   /// Grid holding the current base time level.
   [[nodiscard]] core::Grid3& current() {

@@ -1,7 +1,8 @@
 // Model-vs-measured accounting: the NodeModel prediction for an
 // arbitrary SolverConfig, so every instrumented run (benches, the
 // examples, the run database) can put the paper's Eq. (2)/(4)/(5)
-// expectation next to the MLUP/s it actually achieved.
+// expectation next to the MLUP/s it actually achieved.  The tuner ranks
+// its candidates with the same prediction.
 //
 // Header-only and dependent only on core + perfmodel — deliberately
 // NOT on tune:: (linking the tuner pulls its static registration of
@@ -25,14 +26,25 @@ namespace tb::obs {
   }
 }
 
+/// The traffic row that prices `opname` under this config.  A bare
+/// "lbm" operator run with AA storage is priced on the "lbm:aa" row
+/// (one lattice, no write-allocate), so a tuner problem that ranks both
+/// storage policies prices each candidate by its own layout.
+[[nodiscard]] inline perfmodel::OperatorTraffic model_traffic(
+    const core::SolverConfig& cfg, const std::string& opname) {
+  const bool aa = cfg.lbm_storage == lbm::LbmStorage::kAA;
+  return perfmodel::operator_traffic(opname == "lbm" && aa ? "lbm:aa"
+                                                           : opname);
+}
+
 /// Modeled main-memory bytes per lattice-site update of `opname` under
-/// this config's store flavour — the bytes_per_lup column of the bench
-/// files and run rows.  Streaming stores drop the write-allocate, the
-/// compressed grid's in-place update saves one word, and the temporally
-/// blocked variants amortize over the team-sweep depth.
+/// this config's store flavour — the bytes_per_lup column of run rows.
+/// Streaming stores drop the write-allocate, the compressed grid's
+/// in-place update saves one word, and the temporally blocked variants
+/// amortize over the team-sweep depth.
 [[nodiscard]] inline double model_bytes_per_lup(
     const core::SolverConfig& cfg, const std::string& opname) {
-  const perfmodel::OperatorTraffic t = perfmodel::operator_traffic(opname);
+  const perfmodel::OperatorTraffic t = model_traffic(cfg, opname);
   const int S = model_sweep_depth(cfg);
   const bool compressed =
       cfg.variant == core::Variant::kPipelined &&
@@ -53,7 +65,7 @@ namespace tb::obs {
 [[nodiscard]] inline double predicted_solver_mlups(
     const core::SolverConfig& cfg, const std::string& opname,
     const perfmodel::NodeModel& model, int nx, int ny) {
-  const perfmodel::OperatorTraffic t = perfmodel::operator_traffic(opname);
+  const perfmodel::OperatorTraffic t = model_traffic(cfg, opname);
   switch (cfg.variant) {
     case core::Variant::kReference:
       return model.baseline_lups(t, 1, /*nontemporal=*/false) / 1e6;

@@ -9,8 +9,8 @@
 //
 // Hot paths are expected to hoist `const bool tel = obs::enabled();`
 // out of their loops, so a disabled build pays one relaxed atomic load
-// per solver run plus a predictable per-sweep branch — the bench
-// regression gate is the proof that this stays below noise.
+// per solver run plus a predictable per-sweep branch — bench/suite's
+// obs.overhead_frac (traced over untraced MLUP/s) measures the cost.
 //
 // Cold paths (the tuner, the caches) may count unconditionally: their
 // counters cost nothing next to a timed probe, and examples/autotune

@@ -1,7 +1,6 @@
 #include "obs/registry.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 namespace tb::obs {
 
@@ -111,37 +110,6 @@ void Registry::reset() {
   for (auto& [k, h] : histograms_) h->reset();
 }
 
-std::vector<MetricRow> Registry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<MetricRow> out;
-  out.reserve(counters_.size() + gauges_.size() + histograms_.size());
-  for (const auto& [k, c] : counters_) {
-    MetricRow r;
-    r.name = k;
-    r.kind = MetricRow::Kind::kCounter;
-    r.value = static_cast<double>(c->value());
-    out.push_back(std::move(r));
-  }
-  for (const auto& [k, g] : gauges_) {
-    MetricRow r;
-    r.name = k;
-    r.kind = MetricRow::Kind::kGauge;
-    r.value = g->value();
-    out.push_back(std::move(r));
-  }
-  for (const auto& [k, h] : histograms_) {
-    MetricRow r;
-    r.name = k;
-    r.kind = MetricRow::Kind::kHistogram;
-    r.value = h->sum();
-    r.count = h->count();
-    r.min = r.count > 0 ? h->min() : 0.0;
-    r.max = r.count > 0 ? h->max() : 0.0;
-    out.push_back(std::move(r));
-  }
-  return out;
-}
-
 std::vector<std::pair<std::string, double>> Registry::sums_with_suffix(
     std::string_view suffix) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -154,37 +122,6 @@ std::vector<std::pair<std::string, double>> Registry::sums_with_suffix(
     out.emplace_back(k, h->sum());
   }
   return out;
-}
-
-bool Registry::write_json(const std::string& path) const {
-  const std::vector<MetricRow> rows = snapshot();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const MetricRow& r = rows[i];
-    switch (r.kind) {
-      case MetricRow::Kind::kCounter:
-        std::fprintf(f, "  \"%s\": %llu", r.name.c_str(),
-                     static_cast<unsigned long long>(r.value));
-        break;
-      case MetricRow::Kind::kGauge:
-        std::fprintf(f, "  \"%s\": %.9g", r.name.c_str(), r.value);
-        break;
-      case MetricRow::Kind::kHistogram:
-        std::fprintf(f,
-                     "  \"%s\": {\"count\": %llu, \"sum\": %.9g, "
-                     "\"min\": %.9g, \"max\": %.9g}",
-                     r.name.c_str(),
-                     static_cast<unsigned long long>(r.count), r.value, r.min,
-                     r.max);
-        break;
-    }
-    std::fprintf(f, "%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return true;
 }
 
 RegistryScope::RegistryScope(Registry& r)

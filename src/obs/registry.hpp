@@ -94,17 +94,6 @@ class Histogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
-/// One metric in a snapshot (counters/gauges report `value`; histograms
-/// report count/sum/min/max, with `value` = sum for convenience).
-struct MetricRow {
-  enum class Kind { kCounter, kGauge, kHistogram };
-  std::string name;
-  Kind kind = Kind::kCounter;
-  double value = 0.0;
-  std::uint64_t count = 0;  ///< histogram sample count
-  double min = 0.0, max = 0.0;
-};
-
 /// Named metric store.  Metrics are created on first lookup and live as
 /// long as the registry; references stay valid across further lookups.
 class Registry {
@@ -129,17 +118,10 @@ class Registry {
   /// Zeroes every registered metric (keeps the names registered).
   void reset();
 
-  /// All metrics, name-sorted (counters, then gauges, then histograms —
-  /// each group already sorted by the backing map).
-  [[nodiscard]] std::vector<MetricRow> snapshot() const;
-
   /// (name, histogram sum) of every histogram whose name ends in the
   /// given suffix — the per-phase seconds breakdown run rows embed.
   [[nodiscard]] std::vector<std::pair<std::string, double>> sums_with_suffix(
       std::string_view suffix = ".seconds") const;
-
-  /// Writes the snapshot as a JSON object {"name": value | {...}, ...}.
-  bool write_json(const std::string& path) const;
 
  private:
   mutable std::mutex mu_;

@@ -1,22 +1,13 @@
-// Append-only run rows: the one sink every example and scenario reports
-// through.
+// Append-only run rows: the one sink every example, scenario case and
+// cluster sweep reports through.
 //
-// Two outputs from the same RunRow record:
-//
-//  - write_bench_json("simnet", rows) writes BENCH_simnet.json, the
-//    array the cluster sweep (examples/cluster_scaling, the scenario
-//    "cluster" section) leaves for CI to check and archive.  Keys are
-//    {"name", "bytes_per_lup", "mlups"} plus a "schema" version field
-//    and — when a model prediction exists — "predicted_mlups".  Strings
-//    are quoted through util::json::escape, so every row reads back
-//    with util::json::parse.
-//
-//  - append_run_rows(path, rows) appends one JSON object per line to a
-//    run database ($TB_RUNDB, default "tb_runs.jsonl"), carrying the
-//    full record: measured and NodeModel-predicted MLUP/s, the
-//    per-phase seconds breakdown (from the metrics registry), and
-//    free-form tags.  write_bench_json forwards here automatically
-//    when telemetry is enabled.
+// append_run_rows(path, rows) appends one JSON object per line to a run
+// database ($TB_RUNDB, default "tb_runs.jsonl").  Each row carries
+// {"schema", "name", "bytes_per_lup", "mlups"}, the NodeModel-predicted
+// "predicted_mlups" when one exists, the per-phase seconds breakdown
+// (from the metrics registry) and free-form tags.  Strings are quoted
+// through util::json::escape, so every line reads back with
+// util::json::parse.
 #pragma once
 
 #include <string>
@@ -45,16 +36,9 @@ struct RunRow {
   double predicted_mlups = 0.0;
   /// (phase name, seconds) — typically phase_seconds_snapshot().
   std::vector<std::pair<std::string, double>> phases;
-  /// Free-form ("op", "lbm"), ("variant", "pipelined"), ("bench", ...)
+  /// Free-form ("op", "lbm"), ("variant", "pipelined"), ("modeled", "1")
   std::vector<std::pair<std::string, std::string>> tags;
 };
-
-/// Writes `BENCH_<bench>.json` in the working directory (and, when
-/// telemetry is enabled, appends the rows to default_rundb_path()).
-/// Returns false after printing a warning when the file cannot be
-/// written.
-bool write_bench_json(const std::string& bench,
-                      const std::vector<RunRow>& rows);
 
 /// Appends one JSONL object per row; creates the file if needed.
 bool append_run_rows(const std::string& path, const std::vector<RunRow>& rows);

@@ -75,30 +75,6 @@ void ChromeTraceSink::close() {
   events_.clear();
 }
 
-void JsonlTraceSink::consume(const TraceEvent* events, std::size_t n) {
-  if (f_ == nullptr) {
-    f_ = std::fopen(path_.c_str(), "w");
-    if (f_ == nullptr) return;
-  }
-  std::FILE* f = static_cast<std::FILE*>(f_);
-  for (std::size_t i = 0; i < n; ++i) {
-    const TraceEvent& e = events[i];
-    std::fprintf(f,
-                 "{\"name\": \"%s\", \"cat\": \"%s\", \"tid\": %u, "
-                 "\"t0_ns\": %llu, \"dur_ns\": %llu}\n",
-                 e.name, e.cat, e.tid,
-                 static_cast<unsigned long long>(e.t0_ns),
-                 static_cast<unsigned long long>(e.dur_ns));
-  }
-}
-
-void JsonlTraceSink::close() {
-  if (f_ != nullptr) {
-    std::fclose(static_cast<std::FILE*>(f_));
-    f_ = nullptr;
-  }
-}
-
 // -------------------------------------------------------------------- Trace
 
 Trace& Trace::instance() {
@@ -109,9 +85,6 @@ Trace& Trace::instance() {
     const char* chrome = std::getenv("TB_TRACE");
     o.chrome_path =
         (chrome != nullptr && chrome[0] != '\0') ? chrome : "tb_trace.json";
-    if (const char* jsonl = std::getenv("TB_TRACE_JSONL");
-        jsonl != nullptr && jsonl[0] != '\0')
-      o.jsonl_path = jsonl;
     t.start(std::move(o));
     return true;
   }();
@@ -130,8 +103,6 @@ void Trace::start(TraceOptions opts) {
     if (!opts.chrome_path.empty())
       owned_sinks_.push_back(
           std::make_unique<ChromeTraceSink>(opts.chrome_path));
-    if (!opts.jsonl_path.empty())
-      owned_sinks_.push_back(std::make_unique<JsonlTraceSink>(opts.jsonl_path));
     for (auto& s : owned_sinks_) sinks_.push_back(s.get());
   }
   recorded_.store(0, std::memory_order_relaxed);

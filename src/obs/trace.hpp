@@ -4,9 +4,9 @@
 // write fixed-size records into their own lock-free ring (one SPSC
 // ring per registered thread — producer pushes, the single writer
 // thread drains), and the writer thread periodically flushes every
-// ring into pluggable sinks.  Two sinks ship: a Chrome `trace_event`
-// JSON (open the file in chrome://tracing or https://ui.perfetto.dev)
-// and a JSONL row stream.
+// ring into pluggable sinks.  One sink ships: a Chrome `trace_event`
+// JSON (open the file in chrome://tracing or https://ui.perfetto.dev);
+// CollectSink is the in-memory test fake behind the same interface.
 //
 // Producers use the Span RAII type:
 //
@@ -91,18 +91,6 @@ class ChromeTraceSink final : public TraceSink {
   std::vector<TraceEvent> events_;
 };
 
-/// Streams one JSON object per line as events arrive.
-class JsonlTraceSink final : public TraceSink {
- public:
-  explicit JsonlTraceSink(std::string path) : path_(std::move(path)) {}
-  void consume(const TraceEvent* events, std::size_t n) override;
-  void close() override;
-
- private:
-  std::string path_;
-  void* f_ = nullptr;  // FILE*, opened lazily on first consume
-};
-
 /// Test sink: collects everything in memory.
 class CollectSink final : public TraceSink {
  public:
@@ -122,7 +110,6 @@ class CollectSink final : public TraceSink {
 
 struct TraceOptions {
   std::string chrome_path;  ///< empty = no Chrome sink
-  std::string jsonl_path;   ///< empty = no JSONL sink
   std::size_t ring_capacity = 1u << 12;
   int drain_interval_ms = 10;
 };
@@ -130,9 +117,9 @@ struct TraceOptions {
 /// The trace session: owns the per-thread rings, the sinks, and the
 /// writer thread.  instance() lazily constructs the singleton and —
 /// when TB_TELEMETRY is set — auto-starts a session writing Chrome
-/// JSON to $TB_TRACE (default "tb_trace.json") and JSONL to
-/// $TB_TRACE_JSONL (default: off).  The session is closed and files
-/// written either by an explicit stop() or at process exit.
+/// JSON to $TB_TRACE (default "tb_trace.json").  The session is closed
+/// and the file written either by an explicit stop() or at process
+/// exit.
 class Trace {
  public:
   static Trace& instance();

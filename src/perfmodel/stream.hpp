@@ -20,10 +20,6 @@ struct BandwidthResult {
   double bytes_per_second = 0.0;
   double seconds = 0.0;      ///< best-repetition wall time
   std::size_t bytes = 0;     ///< bytes moved per repetition (read+write)
-
-  [[nodiscard]] double gib_s() const {
-    return bytes_per_second / (1024.0 * 1024.0 * 1024.0);
-  }
 };
 
 /// STREAM COPY (b[i] = a[i]) with `threads` workers over `elems` doubles

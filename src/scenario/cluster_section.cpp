@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
 #include "topo/fabric.hpp"
 
 namespace tb::scenario {
@@ -50,12 +51,16 @@ std::vector<int> int_list(const char* key, const json::Value& v) {
 }  // namespace
 
 void ClusterSection::consume(const json::Value& value) {
+  const std::size_t first = rows_.size();
   if (value.is_array()) {
     for (const json::Value& group : value.as_array()) run_group(group);
   } else {
     run_group(value);
   }
-  if (!opts_.bench.empty()) obs::write_bench_json(opts_.bench, rows_);
+  if (obs::enabled())
+    obs::append_run_rows(obs::default_rundb_path(),
+                         {rows_.begin() + static_cast<std::ptrdiff_t>(first),
+                          rows_.end()});
 }
 
 void ClusterSection::run_group(const json::Value& group) {
@@ -95,7 +100,7 @@ void ClusterSection::run_group(const json::Value& group) {
   for (const std::string& topology : topologies) {
     spec.topology = topology;
     simnet::event::SweepResult result = simnet::event::run_sweep(spec);
-    if (opts_.verbose) {
+    if (verbose_) {
       std::printf("cluster %s %s n=%d halo=%d op=%s\n",
                   spec.weak ? "weak" : "strong", topology.c_str(), spec.n,
                   spec.halo, spec.op.c_str());

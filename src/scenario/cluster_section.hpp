@@ -20,9 +20,9 @@
 //   }
 //
 // Sweeps run at consume() time; results() and rows() expose the
-// outcome, and — when options name a bench — the accumulated rows land
-// in BENCH_<bench>.json for the regression gate (and the rundb when
-// telemetry is enabled, via write_bench_json's forwarding).
+// outcome.  When telemetry is enabled, each consume() appends the rows
+// of that call (three per point, tagged modeled=1) to the run database
+// at obs::default_rundb_path(), the same rule solver cases follow.
 #pragma once
 
 #include <string>
@@ -35,17 +35,10 @@
 
 namespace tb::scenario {
 
-struct ClusterSectionOptions {
-  bool verbose = false;  ///< print one stdout line per sweep point
-  /// When non-empty, every consume() rewrites BENCH_<bench>.json with
-  /// all rows accumulated so far.
-  std::string bench;
-};
-
 class ClusterSection final : public IScenarioConsumer {
  public:
-  explicit ClusterSection(ClusterSectionOptions opts = {})
-      : opts_(std::move(opts)) {}
+  /// `verbose` prints one stdout line per sweep point.
+  explicit ClusterSection(bool verbose = false) : verbose_(verbose) {}
 
   [[nodiscard]] std::string_view section() const override {
     return "cluster";
@@ -64,7 +57,7 @@ class ClusterSection final : public IScenarioConsumer {
  private:
   void run_group(const util::json::Value& group);
 
-  ClusterSectionOptions opts_;
+  bool verbose_;
   std::vector<simnet::event::SweepResult> results_;
   std::vector<obs::RunRow> rows_;
 };

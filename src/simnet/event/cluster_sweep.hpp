@@ -1,7 +1,7 @@
 // Weak/strong-scaling sweeps through the discrete-event cluster
 // backend: build the per-rank halo programs for a decomposition, run
 // them over a chosen fabric, and report modeled performance rows (obs
-// RunRow) the rundb and the bench regression gate consume.
+// RunRow) for the run database.
 //
 // This is the O(10^4)-rank replacement for the thread-backed Fig. 6
 // loops: a 10^4-rank weak-scaling point over any built-in topology
@@ -56,7 +56,7 @@ struct SweepResult {
 /// Runs every rank count of the spec through the event engine.
 [[nodiscard]] SweepResult run_sweep(const ClusterSweepSpec& spec);
 
-/// Rows for BENCH_simnet.json / the rundb, three per point:
+/// Run-database rows, three per point:
 ///   "<mode>/<topology>/<ranks>"      modeled MLUP/s
 ///   "eff/<mode>/<topology>/<ranks>"  parallel efficiency (0..1)
 ///   "events/<topology>/<ranks>"      engine throughput [M events/s]

@@ -42,19 +42,4 @@ struct NetworkModel {
   }
 };
 
-/// The paper's cluster interconnect: fully non-blocking fat-tree QDR
-/// InfiniBand, 3.2 GB/s asymptotic unidirectional bandwidth, 1.8 us
-/// latency (Sec. 2.1).
-[[nodiscard]] inline NetworkModel qdr_infiniband() { return {}; }
-
-/// Intra-node "network": shared-memory copies between processes pinned to
-/// different sockets of one node.
-[[nodiscard]] inline NetworkModel shared_memory_link() {
-  NetworkModel m;
-  m.latency = 0.4e-6;
-  m.bandwidth = 6.0e9;
-  m.pack_overhead = 0.0;  // single copy, no NIC staging
-  return m;
-}
-
 }  // namespace tb::simnet

@@ -2,55 +2,16 @@
 
 #include <algorithm>
 
+#include "obs/accounting.hpp"
+
 namespace tb::tune {
-
-perfmodel::OperatorTraffic operator_traffic(const std::string& op) {
-  // The table lives with the models (perfmodel/model_api.hpp) so the
-  // bench matrix's bytes/LUP column and the ranker stay in agreement.
-  return perfmodel::operator_traffic(op);
-}
-
-double predict_mlups(const Candidate& c, const Problem& p,
-                     const perfmodel::NodeModel& model) {
-  // A bare "lbm" problem ranks candidates of BOTH storage policies; the
-  // candidate's own layout decides which traffic row prices it (the AA
-  // row drops the second lattice and the write-allocate).
-  const bool aa = c.cfg.lbm_storage == lbm::LbmStorage::kAA;
-  const perfmodel::OperatorTraffic traffic =
-      operator_traffic(p.op == "lbm" && aa ? "lbm:aa" : p.op);
-  double lups = 0.0;
-  switch (c.cfg.variant) {
-    case core::Variant::kReference:
-      lups = model.baseline_lups(traffic, 1, false);
-      break;
-    case core::Variant::kBaseline:
-      lups = model.baseline_lups(traffic, c.cfg.baseline.threads,
-                                 c.cfg.baseline.nontemporal,
-                                 c.cfg.lbm_prefetch);
-      break;
-    case core::Variant::kPipelined: {
-      const core::PipelineConfig& pl = c.cfg.pipeline;
-      const std::size_t block_bytes =
-          static_cast<std::size_t>(pl.block.bx) * pl.block.by *
-          pl.block.bz * sizeof(double);
-      lups = model.pipelined_lups(
-          traffic, pl.teams, pl.team_size, pl.steps_per_thread, block_bytes,
-          pl.du, pl.scheme == core::GridScheme::kCompressed);
-      break;
-    }
-    case core::Variant::kWavefront:
-      lups = model.wavefront_lups(traffic, c.cfg.wavefront.threads, p.nx,
-                                  p.ny);
-      break;
-  }
-  return lups / 1e6;
-}
 
 void rank_candidates(std::vector<Candidate>& candidates, const Problem& p,
                      const topo::MachineSpec& machine) {
   const perfmodel::NodeModel model(machine);
   for (Candidate& c : candidates)
-    c.predicted_mlups = predict_mlups(c, p, model);
+    c.predicted_mlups =
+        obs::predicted_solver_mlups(c.cfg, p.op, model, p.nx, p.ny);
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const Candidate& a, const Candidate& b) {
                      return a.predicted_mlups > b.predicted_mlups;

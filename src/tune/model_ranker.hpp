@@ -8,25 +8,15 @@
 // this machine, and only those get measured.
 #pragma once
 
-#include <string>
 #include <vector>
 
-#include "perfmodel/model_api.hpp"
 #include "topo/machine.hpp"
 #include "tune/plan.hpp"
 
 namespace tb::tune {
 
-/// Per-sweep memory traffic of a registry operator (unknown names get
-/// the generic 24 B/LUP two-grid traffic).
-[[nodiscard]] perfmodel::OperatorTraffic operator_traffic(
-    const std::string& op);
-
-/// Model score of one candidate [MLUP/s].
-[[nodiscard]] double predict_mlups(const Candidate& c, const Problem& p,
-                                   const perfmodel::NodeModel& model);
-
-/// Fills predicted_mlups for every candidate and stable-sorts the list
+/// Fills predicted_mlups (obs::predicted_solver_mlups, the same score
+/// run rows carry) for every candidate and stable-sorts the list
 /// best-first (ties keep enumeration order, so ranking is reproducible).
 void rank_candidates(std::vector<Candidate>& candidates, const Problem& p,
                      const topo::MachineSpec& machine);

@@ -6,9 +6,12 @@
 // wrong.  It is a strict reader for the repo's own config files, not a
 // general serialization framework: numbers are doubles, object key order
 // is preserved for deterministic iteration, duplicate keys take the last
-// value (like every lenient reader), and there is deliberately no writer
-// — the few places that emit JSON keep their hand-rolled printers, but
-// all of them quote strings through the one escape() below.
+// value (like every lenient reader), and there is deliberately no writer.
+// Three hand-rolled printers emit JSON: run-database rows
+// (obs/rundb.cpp), the Chrome trace (obs/trace.cpp, whose span names are
+// string literals) and the tuning cache (tune/tuning_cache.cpp).  The
+// two that print runtime strings quote them through the one escape()
+// below.
 //
 // Hostile input fails with an error, never a crash: parse_file reads at
 // most kMaxDocumentBytes, arrays and objects nest at most kMaxDepth

@@ -243,34 +243,12 @@ TEST(ObsTrace, ChromeTraceFileIsWellFormedAndMonotonePerThread) {
 
 // ------------------------------------------------- run rows (satellite)
 
-TEST(ObsRunDb, BenchJsonKeepsRegressionGateKeys) {
-  obs::RunRow row;
-  row.name = "baseline/jacobi";
-  row.bytes_per_lup = 24.0;
-  row.mlups = 123.5;
-  row.predicted_mlups = 150.0;
-  row.tags = {{"op", "jacobi"}};
-  ASSERT_TRUE(obs::write_bench_json("obs_test", {row}));
-
-  std::ifstream in("BENCH_obs_test.json");
-  ASSERT_TRUE(in.good());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  // The historical keys, plus the schema/model ones.
-  EXPECT_NE(text.find("\"name\": \"baseline/jacobi\""), std::string::npos);
-  EXPECT_NE(text.find("\"mlups\": 123.5"), std::string::npos);
-  EXPECT_NE(text.find("\"bytes_per_lup\": 24"), std::string::npos);
-  EXPECT_NE(text.find("\"schema\": 1"), std::string::npos);
-  EXPECT_NE(text.find("\"predicted_mlups\": 150"), std::string::npos);
-  std::remove("BENCH_obs_test.json");
-}
-
 // A scenario or case name may legally hold a newline once util::json has
-// decoded it; the row must still be one JSONL line that parses back equal.
+// decoded it; the row must still be one JSONL line that parses back equal,
+// carrying the schema version and the model-vs-measured keys.
 TEST(ObsRunDb, RowWithQuotesBackslashesAndNewlinesStaysOneLine) {
   const std::string hostile = "a\"b\\c\nd";
-  obs::RunRow row(hostile, 24.0, 1.5);
+  obs::RunRow row(hostile, 24.0, 123.5, 150.0);
   row.tags = {{hostile, hostile}};
   const std::string path = "obs_test_escape.jsonl";
   std::remove(path.c_str());
@@ -282,7 +260,11 @@ TEST(ObsRunDb, RowWithQuotesBackslashesAndNewlinesStaysOneLine) {
   std::remove(path.c_str());
   ASSERT_EQ(lines.size(), 1u);
   const util::json::Value v = util::json::parse(lines[0]);
+  EXPECT_EQ(v.get("schema").as_int(), 1);
   EXPECT_EQ(v.get("name").as_string(), hostile);
+  EXPECT_EQ(v.get("bytes_per_lup").as_number(), 24.0);
+  EXPECT_EQ(v.get("mlups").as_number(), 123.5);
+  EXPECT_EQ(v.get("predicted_mlups").as_number(), 150.0);
   EXPECT_EQ(v.get("tags").get(hostile).as_string(), hostile);
 }
 

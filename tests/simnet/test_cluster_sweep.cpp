@@ -3,15 +3,23 @@
 // scenario section (including the cases-optional config relaxation).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "perfmodel/cluster_model.hpp"
 #include "scenario/cluster_section.hpp"
 #include "scenario/scenario_config.hpp"
 #include "simnet/event/cluster_sweep.hpp"
+#include "util/json.hpp"
 
 namespace tb {
 namespace {
@@ -119,11 +127,19 @@ TEST(ClusterSweep, RejectsBadSpecs) {
 
 // ---- the "cluster" scenario section -----------------------------------
 
-TEST(ClusterSection, ConsumesSweepGroupsFromScenarioText) {
-  scenario::ClusterSection section;
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+// Loads a consumer-only scenario file (no "cases" key at all — must load
+// fine) into `section` and checks the two sweeps it adds.
+void consume_two_sweeps(scenario::ClusterSection& section) {
+  const std::size_t before = section.results().size();
   scenario::ScenarioConfig config;
   config.register_consumer(&section);
-  // Consumer-only file: no "cases" key at all — must load fine.
   config.load_text(R"({
     "name": "sweeps",
     "cluster": {
@@ -135,11 +151,51 @@ TEST(ClusterSection, ConsumesSweepGroupsFromScenarioText) {
     }
   })");
   EXPECT_EQ(config.cases().size(), 0u);
-  ASSERT_EQ(section.results().size(), 2u);  // one sweep per topology
-  EXPECT_EQ(section.results()[0].spec.topology, "fat-tree");
-  EXPECT_EQ(section.results()[1].spec.topology, "cloud");
-  ASSERT_EQ(section.results()[0].points.size(), 2u);
-  EXPECT_EQ(section.rows().size(), 2u * 2u * 3u);
+  ASSERT_EQ(section.results().size(), before + 2u);  // one per topology
+  EXPECT_EQ(section.results()[before].spec.topology, "fat-tree");
+  EXPECT_EQ(section.results()[before + 1].spec.topology, "cloud");
+  ASSERT_EQ(section.results()[before].points.size(), 2u);
+  EXPECT_EQ(section.rows().size(), (before + 2u) * 2u * 3u);
+}
+
+// Sweep rows go to the run database, and only when telemetry is on:
+// exactly that call's rows (not the section's earlier ones), all tagged
+// as modeled.  The section runs in an empty working directory that must
+// stay empty: no per-bench row file is written next to the database.
+TEST(ClusterSection, ConsumesSweepGroupsFromScenarioText) {
+  const std::filesystem::path home = std::filesystem::current_path();
+  const std::filesystem::path tmp(::testing::TempDir());
+  const std::string pid = std::to_string(::getpid());
+  const std::filesystem::path dir = tmp / ("tb_cluster_cwd_" + pid);
+  const std::string path = (tmp / ("tb_cluster_rundb_" + pid + ".jsonl"))
+                               .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::remove(path.c_str());
+  ASSERT_EQ(::setenv("TB_RUNDB", path.c_str(), 1), 0);
+  std::filesystem::current_path(dir);
+
+  scenario::ClusterSection section;
+  consume_two_sweeps(section);
+  EXPECT_TRUE(read_lines(path).empty()) << "telemetry off appends nothing";
+
+  obs::set_enabled(true);
+  consume_two_sweeps(section);
+  obs::set_enabled(false);
+
+  std::filesystem::current_path(home);
+  ::unsetenv("TB_RUNDB");
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
+
+  const std::vector<std::string> lines = read_lines(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(lines.size(), 12u);
+  for (const std::string& line : lines) {
+    const util::json::Value row = util::json::parse(line);
+    EXPECT_EQ(row.get("schema").as_int(), 1);
+    EXPECT_EQ(row.get("tags").get("modeled").as_string(), "1") << line;
+  }
 }
 
 TEST(ClusterSection, RejectsUnknownKeysAndBadModes) {

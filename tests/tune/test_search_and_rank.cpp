@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/accounting.hpp"
+#include "perfmodel/model_api.hpp"
 #include "topo/machine.hpp"
 #include "tune/measure.hpp"
 #include "tune/model_ranker.hpp"
@@ -119,6 +121,7 @@ TEST(SearchSpace, EveryConstraintIsSatisfiableOnASingleCoreMachine) {
 }
 
 TEST(ModelRanker, OperatorTrafficMatchesTheOperators) {
+  using perfmodel::operator_traffic;
   EXPECT_EQ(operator_traffic("jacobi").mem_bytes_nt, 16.0);
   EXPECT_EQ(operator_traffic("jacobi").aux_bytes, 0.0);
   EXPECT_EQ(operator_traffic("varcoef").aux_bytes, 48.0);
@@ -184,6 +187,31 @@ TEST(SearchSpace, LbmProblemsEnumerateBothStoragePolicies) {
       }
     }
   }
+}
+
+TEST(ModelRanker, BareLbmPricesAaConfigsOnTheAaRow) {
+  // The storage policy, not the operator name, picks the traffic row: a
+  // bare "lbm" problem's AA candidates price exactly like "lbm:aa".
+  const topo::MachineSpec m = topo::nehalem_ep();
+  const perfmodel::NodeModel model(m);
+  std::size_t checked = 0;
+  for (const Candidate& c : enumerate_candidates(cube(64, "lbm"), m)) {
+    if (c.cfg.lbm_storage != lbm::LbmStorage::kAA) continue;
+    EXPECT_EQ(obs::predicted_solver_mlups(c.cfg, "lbm", model, 64, 64),
+              obs::predicted_solver_mlups(c.cfg, "lbm:aa", model, 64, 64))
+        << c.describe();
+    EXPECT_EQ(obs::model_bytes_per_lup(c.cfg, "lbm"),
+              obs::model_bytes_per_lup(c.cfg, "lbm:aa"))
+        << c.describe();
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+  // A two-lattice config stays on the heavier "lbm" row.
+  core::SolverConfig two;
+  core::SolverConfig aa;
+  aa.lbm_storage = lbm::LbmStorage::kAA;
+  EXPECT_GT(obs::model_bytes_per_lup(two, "lbm"),
+            obs::model_bytes_per_lup(aa, "lbm"));
 }
 
 TEST(SearchSpace, AaScheduleAppliesItsStoragePolicy) {
