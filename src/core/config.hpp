@@ -40,7 +40,6 @@ struct PipelineConfig {
   int dt = 0;                ///< extra delay between consecutive teams
   SyncMode sync = SyncMode::kRelaxed;
   GridScheme scheme = GridScheme::kTwoGrid;
-  bool pin_threads = false;  ///< best-effort core pinning (no-op if absent)
 
   /// Levels advanced per team sweep: n * t * T.
   [[nodiscard]] int levels_per_sweep() const {

@@ -29,8 +29,7 @@ PipelineEngine::PipelineEngine(const PipelineConfig& cfg, BlockPlan plan)
       counters_(cfg.total_threads()),
       bounds_(make_distance_bounds(cfg.teams, cfg.team_size, cfg.dl, cfg.du,
                                    cfg.dt)),
-      barrier_offsets_(make_barrier_offsets(cfg)),
-      affinity_(topo::MachineSpec{}, cfg.teams, cfg.team_size) {
+      barrier_offsets_(make_barrier_offsets(cfg)) {
   cfg_.validate();
   if (plan_.levels() != cfg_.levels_per_sweep())
     throw std::invalid_argument(
@@ -65,8 +64,6 @@ void PipelineEngine::sweep_relaxed(bool forward, const ProcessFn& process) {
                        ? &obs::Trace::instance()
                        : nullptr;
   pool_.run([&](int p) {
-    if (cfg_.pin_threads && !pin_attempted_)
-      topo::pin_current_thread(affinity_.core_of(p));
     const std::uint64_t s0 = tel ? obs::now_ns() : 0;
     std::uint64_t wait_ns = 0;
     for (long long c = 0; c < nb; ++c) {
@@ -89,7 +86,6 @@ void PipelineEngine::sweep_relaxed(bool forward, const ProcessFn& process) {
       }
     }
   });
-  pin_attempted_ = true;
 }
 
 void PipelineEngine::sweep_barrier(bool forward, const ProcessFn& process) {
@@ -105,8 +101,6 @@ void PipelineEngine::sweep_barrier(bool forward, const ProcessFn& process) {
                        ? &obs::Trace::instance()
                        : nullptr;
   pool_.run([&](int p) {
-    if (cfg_.pin_threads && !pin_attempted_)
-      topo::pin_current_thread(affinity_.core_of(p));
     const long long off = barrier_offsets_[static_cast<std::size_t>(p)];
     const std::uint64_t s0 = tel ? obs::now_ns() : 0;
     std::uint64_t wait_ns = 0;
@@ -130,7 +124,6 @@ void PipelineEngine::sweep_barrier(bool forward, const ProcessFn& process) {
       }
     }
   });
-  pin_attempted_ = true;
 }
 
 void PipelineEngine::run_sweep(bool forward, const ProcessFn& process) {

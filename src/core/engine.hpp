@@ -19,7 +19,6 @@
 #include "core/blocks.hpp"
 #include "core/config.hpp"
 #include "core/sync.hpp"
-#include "topo/affinity.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tb::core {
@@ -57,8 +56,6 @@ class PipelineEngine {
   ProgressCounters counters_;
   std::vector<DistanceBounds> bounds_;
   std::vector<long long> barrier_offsets_;  // spatial offsets, barrier mode
-  topo::AffinityPlan affinity_;
-  bool pin_attempted_ = false;
 };
 
 }  // namespace tb::core

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 
 #include "util/simd.hpp"
 
@@ -96,39 +95,6 @@ inline void jacobi_row_reverse(double* __restrict__ dst,
     dst[i] = jacobi_cell(c, jm, jp, km, kp, i);
 }
 
-/// Forward Jacobi row update writing with a -1 x-offset relative to the
-/// source index (compressed grid, odd sweeps): dst[i-1] <- stencil(src, i).
-inline void jacobi_row_shift_down(double* __restrict__ dst,
-                                  const double* __restrict__ c,
-                                  const double* __restrict__ jm,
-                                  const double* __restrict__ jp,
-                                  const double* __restrict__ km,
-                                  const double* __restrict__ kp, int i0,
-                                  int i1) {
-  constexpr int W = util::simd::dvec::kWidth;
-  int i = i0;
-  for (; i + W <= i1; i += W)
-    jacobi_cell_vec(c, jm, jp, km, kp, i).store(dst + i - 1);
-  for (; i < i1; ++i) dst[i - 1] = jacobi_cell(c, jm, jp, km, kp, i);
-}
-
-/// Reverse Jacobi row update writing with a +1 x-offset (compressed grid,
-/// even sweeps): dst[i+1] <- stencil(src, i), descending i.
-inline void jacobi_row_shift_up(double* __restrict__ dst,
-                                const double* __restrict__ c,
-                                const double* __restrict__ jm,
-                                const double* __restrict__ jp,
-                                const double* __restrict__ km,
-                                const double* __restrict__ kp, int i0,
-                                int i1) {
-  constexpr int W = util::simd::dvec::kWidth;
-  int i = i1 - W;
-  for (; i >= i0; i -= W)
-    jacobi_cell_vec(c, jm, jp, km, kp, i).store(dst + i + 1);
-  for (i += W - 1; i >= i0; --i)
-    dst[i + 1] = jacobi_cell(c, jm, jp, km, kp, i);
-}
-
 /// Whether non-temporal (streaming) stores are available on this target
 /// (false when TB_SIMD=scalar forces the generic path, and on NEON,
 /// which has no cache-bypassing double store).
@@ -168,17 +134,5 @@ inline void jacobi_row_nt(double* __restrict__ dst,
 /// Fence required after a sequence of non-temporal stores before other
 /// threads may read the data.
 inline void nontemporal_fence() { util::simd::store_fence(); }
-
-/// Copies src[i0..i1) to dst with an x-offset (boundary propagation in the
-/// compressed-grid scheme, where even fixed boundary values must shift with
-/// the data window).  Deliberately NOT restrict-qualified: dst and src may
-/// be overlapping views of one allocation.
-inline void copy_row_offset(double* dst, const double* src, int i0, int i1,
-                            int offset) {
-  // memmove: in the compressed scheme dst and src can be overlapping views
-  // of the same allocation.
-  std::memmove(dst + i0 + offset, src + i0,
-               static_cast<std::size_t>(i1 - i0) * sizeof(double));
-}
 
 }  // namespace tb::core

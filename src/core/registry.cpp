@@ -1,6 +1,8 @@
 #include "core/registry.hpp"
 
+#include <map>
 #include <mutex>
+#include <shared_mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -25,111 +27,64 @@ std::string join(const std::vector<std::string>& names) {
   throw std::invalid_argument(os.str());
 }
 
-}  // namespace
+/// The meta-variant table.  A function-local static, so its first use is
+/// race-free even during static initialization (tb_tune's
+/// auto_variant.cpp registers "auto" from a static initializer in another
+/// translation unit).
+struct MetaTable {
+  std::shared_mutex mu;
+  std::map<std::string, MetaVariantFactory> factories;
+  std::vector<std::string> names;  ///< registration order
+};
 
-Registry& Registry::global() {
-  // Function-local static for a race-free first use during static
-  // initialization (tb_tune's auto_variant.cpp registers "auto" from a
-  // static initializer in another translation unit).
-  static Registry instance;
-  return instance;
+MetaTable& meta_table() {
+  static MetaTable table;
+  return table;
 }
 
-const std::vector<std::string>& Registry::variants() const {
+bool is_meta(std::string_view name) {
+  MetaTable& t = meta_table();
+  const std::shared_lock lock(t.mu);
+  return t.factories.contains(std::string(name));
+}
+
+}  // namespace
+
+const std::vector<std::string>& registered_variants() {
   static const std::vector<std::string> kNames{
       "reference", "baseline", "pipelined", "compressed", "wavefront"};
   return kNames;
 }
 
-const std::vector<std::string>& Registry::operators() const {
+const std::vector<std::string>& registered_operators() {
   static const std::vector<std::string> kNames{"jacobi", "varcoef", "box27",
                                                "redblack", "lbm", "lbm:aa"};
   return kNames;
 }
 
-void Registry::register_meta(const std::string& name,
-                             MetaVariantFactory fn) {
-  for (const std::string& concrete : variants())
+void register_meta_variant(const std::string& name, MetaVariantFactory fn) {
+  for (const std::string& concrete : registered_variants())
     if (name == concrete)
       throw std::invalid_argument("register_meta_variant: '" + name +
                                   "' is a concrete variant name");
-  const std::unique_lock lock(mu_);
-  if (!factories_.contains(name)) meta_names_.push_back(name);
-  factories_[name] = std::move(fn);
-}
-
-std::vector<std::string> Registry::meta_variants() const {
-  const std::shared_lock lock(mu_);
-  return meta_names_;
-}
-
-bool Registry::is_meta(std::string_view name) const {
-  const std::shared_lock lock(mu_);
-  return factories_.contains(std::string(name));
-}
-
-std::vector<std::string> Registry::selectable() const {
-  std::vector<std::string> names = variants();
-  const std::shared_lock lock(mu_);
-  for (const std::string& m : meta_names_) names.push_back(m);
-  return names;
-}
-
-StencilSolver Registry::make(std::string_view variant, std::string_view op,
-                             SolverConfig cfg, const Grid3& initial,
-                             const Grid3* kappa) const {
-  // Copy the factory out under the lock and call it unlocked: meta
-  // factories re-enter make() with the concrete name they resolved to.
-  MetaVariantFactory factory;
-  {
-    const std::shared_lock lock(mu_);
-    const auto it = factories_.find(std::string(variant));
-    if (it != factories_.end()) factory = it->second;
-  }
-  if (factory) {
-    if (!apply_operator(cfg, op))
-      throw_unknown("operator", op, operators());
-    cfg.meta.clear();
-    return factory(op, std::move(cfg), initial, kappa);
-  }
-  if (!apply_variant(cfg, variant))
-    throw_unknown("variant", variant, selectable());
-  if (!apply_operator(cfg, op)) throw_unknown("operator", op, operators());
-  const bool needs_aux =
-      cfg.op == Operator::kVarCoef ||
-      (cfg.op == Operator::kLbm && cfg.lbm_geometry_from_aux);
-  if (needs_aux) {
-    if (kappa == nullptr)
-      throw std::invalid_argument(
-          cfg.op == Operator::kVarCoef
-              ? "make_solver: operator 'varcoef' needs a kappa field"
-              : "make_solver: operator 'lbm' with lbm_geometry_from_aux "
-                "needs the geometry-code grid");
-    return StencilSolver(cfg, initial, *kappa);
-  }
-  return StencilSolver(cfg, initial);
-}
-
-// ---- free-function shims ----------------------------------------------
-
-const std::vector<std::string>& registered_variants() {
-  return Registry::global().variants();
-}
-
-const std::vector<std::string>& registered_operators() {
-  return Registry::global().operators();
-}
-
-void register_meta_variant(const std::string& name, MetaVariantFactory fn) {
-  Registry::global().register_meta(name, std::move(fn));
+  MetaTable& t = meta_table();
+  const std::unique_lock lock(t.mu);
+  if (!t.factories.contains(name)) t.names.push_back(name);
+  t.factories[name] = std::move(fn);
 }
 
 std::vector<std::string> registered_meta_variants() {
-  return Registry::global().meta_variants();
+  MetaTable& t = meta_table();
+  const std::shared_lock lock(t.mu);
+  return t.names;
 }
 
 std::vector<std::string> selectable_variants() {
-  return Registry::global().selectable();
+  std::vector<std::string> names = registered_variants();
+  MetaTable& t = meta_table();
+  const std::shared_lock lock(t.mu);
+  for (const std::string& m : t.names) names.push_back(m);
+  return names;
 }
 
 bool apply_variant(SolverConfig& cfg, std::string_view name) {
@@ -145,7 +100,7 @@ bool apply_variant(SolverConfig& cfg, std::string_view name) {
     cfg.pipeline.scheme = GridScheme::kCompressed;
   } else if (name == "wavefront") {
     cfg.variant = Variant::kWavefront;
-  } else if (Registry::global().is_meta(name)) {
+  } else if (is_meta(name)) {
     // Resolution needs the problem (grid shape), which only make_solver
     // sees; until then the config just remembers the request.
     cfg.meta = std::string(name);
@@ -207,8 +162,39 @@ void configure_from_args(SolverConfig& cfg, const util::Args& args) {
 StencilSolver make_solver(std::string_view variant, std::string_view op,
                           SolverConfig cfg, const Grid3& initial,
                           const Grid3* kappa) {
-  return Registry::global().make(variant, op, std::move(cfg), initial,
-                                 kappa);
+  // Copy the factory out under the lock and call it unlocked: meta
+  // factories re-enter make_solver with the concrete name they resolved
+  // to.
+  MetaVariantFactory factory;
+  {
+    MetaTable& t = meta_table();
+    const std::shared_lock lock(t.mu);
+    const auto it = t.factories.find(std::string(variant));
+    if (it != t.factories.end()) factory = it->second;
+  }
+  if (factory) {
+    if (!apply_operator(cfg, op))
+      throw_unknown("operator", op, registered_operators());
+    cfg.meta.clear();
+    return factory(op, std::move(cfg), initial, kappa);
+  }
+  if (!apply_variant(cfg, variant))
+    throw_unknown("variant", variant, selectable_variants());
+  if (!apply_operator(cfg, op))
+    throw_unknown("operator", op, registered_operators());
+  const bool needs_aux =
+      cfg.op == Operator::kVarCoef ||
+      (cfg.op == Operator::kLbm && cfg.lbm_geometry_from_aux);
+  if (needs_aux) {
+    if (kappa == nullptr)
+      throw std::invalid_argument(
+          cfg.op == Operator::kVarCoef
+              ? "make_solver: operator 'varcoef' needs a kappa field"
+              : "make_solver: operator 'lbm' with lbm_geometry_from_aux "
+                "needs the geometry-code grid");
+    return StencilSolver(cfg, initial, *kappa);
+  }
+  return StencilSolver(cfg, initial);
 }
 
 }  // namespace tb::core

@@ -26,11 +26,17 @@
 // are selectable (accepted by --variant and make_solver) but not
 // enumerable through registered_variants(), so sweeps and equivalence
 // matrices never trigger a tuning run by accident.
+//
+// The meta-variant table is the one piece of mutable state: a single
+// process-wide map behind a shared mutex, so concurrent registration and
+// lookup (a session pool resolving "auto" on several threads while a
+// late subsystem installs its resolver) are well-defined.  make_solver
+// copies the factory out under the lock and invokes it unlocked, so a
+// meta factory that re-enters make_solver (the normal case: "auto"
+// resolves to a concrete name and recurses) cannot deadlock.
 #pragma once
 
 #include <functional>
-#include <map>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,66 +58,6 @@ namespace tb::core {
 using MetaVariantFactory = std::function<StencilSolver(
     std::string_view op, SolverConfig cfg, const Grid3& initial,
     const Grid3* kappa)>;
-
-/// Explicit, re-entrant variant/operator registry object.
-///
-/// The concrete (variant x operator) matrix is immutable data; what used
-/// to hide in a function-local static — the mutable meta-variant factory
-/// map — lives here behind a shared mutex, so concurrent registration and
-/// lookup (a session pool resolving "auto" on several threads while a
-/// late subsystem installs its resolver) are well-defined.  make() copies
-/// the factory out under the lock and invokes it unlocked: a meta factory
-/// that re-enters make() (the normal case — "auto" resolves to a concrete
-/// name and recurses) cannot deadlock.
-///
-/// The process-global instance behind Registry::global() serves the
-/// free-function shims below, which remain the convenient spelling for
-/// CLI code; anything that wants isolation (tests, embedded services)
-/// owns a Registry of its own.
-class Registry {
- public:
-  Registry() = default;
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
-  /// The process-global registry (what the free functions delegate to).
-  [[nodiscard]] static Registry& global();
-
-  /// All constructible concrete variant names, in canonical (sweep) order.
-  [[nodiscard]] const std::vector<std::string>& variants() const;
-
-  /// All constructible operator names, in canonical (sweep) order.
-  [[nodiscard]] const std::vector<std::string>& operators() const;
-
-  /// Registers (or replaces) a meta variant under `name`.  Names must not
-  /// collide with concrete variant names.  Thread-safe.
-  void register_meta(const std::string& name, MetaVariantFactory fn);
-
-  /// Currently registered meta-variant names, in registration order.
-  /// By value: a reference into the map would race with concurrent
-  /// registration.
-  [[nodiscard]] std::vector<std::string> meta_variants() const;
-
-  /// True when `name` resolves through a registered meta factory.
-  [[nodiscard]] bool is_meta(std::string_view name) const;
-
-  /// Concrete + meta names — the valid values of a --variant flag.
-  [[nodiscard]] std::vector<std::string> selectable() const;
-
-  /// Constructs a solver from registry names (see the make_solver shim
-  /// below for the full contract).
-  [[nodiscard]] StencilSolver make(std::string_view variant,
-                                   std::string_view op, SolverConfig cfg,
-                                   const Grid3& initial,
-                                   const Grid3* kappa = nullptr) const;
-
- private:
-  mutable std::shared_mutex mu_;
-  std::map<std::string, MetaVariantFactory> factories_;
-  std::vector<std::string> meta_names_;  ///< registration order
-};
-
-// ---- free-function shims over Registry::global() ----------------------
 
 /// All constructible variant names, in canonical (sweep) order.
 [[nodiscard]] const std::vector<std::string>& registered_variants();
@@ -152,8 +98,8 @@ void configure_from_args(SolverConfig& cfg, const util::Args& args);
                                         const Grid3& initial,
                                         const Grid3* kappa = nullptr);
 
-/// Registers (or replaces) a meta variant under `name` in the global
-/// registry.  Names must not collide with concrete variant names.
+/// Registers (or replaces) a meta variant under `name`.  Names must not
+/// collide with concrete variant names.  Thread-safe.
 void register_meta_variant(const std::string& name, MetaVariantFactory fn);
 
 /// Currently registered meta-variant names, in registration order.  By

@@ -32,6 +32,9 @@ std::string SolverSession::fingerprint(const SolveRequest& req) {
         "SolverSession: SolveRequest.initial must not be null");
   const SolverConfig& c = req.cfg;
   std::ostringstream os;
+  // Doubles print with enough digits to round-trip: two requests that
+  // differ only in the last bit of omega must not share a pooled solver.
+  os.precision(17);
   // Everything that decides allocation or results — and nothing that
   // doesn't (grid contents are replayed through reset, steps through
   // advance).
@@ -42,7 +45,7 @@ std::string SolverSession::fingerprint(const SolveRequest& req) {
   os << p.teams << ',' << p.team_size << ',' << p.steps_per_thread << ','
      << p.block.bx << ',' << p.block.by << ',' << p.block.bz << ',' << p.dl
      << ',' << p.du << ',' << p.dt << ',' << static_cast<int>(p.sync) << ','
-     << static_cast<int>(p.scheme) << ',' << p.pin_threads << '|';
+     << static_cast<int>(p.scheme) << '|';
   const BaselineConfig& b = c.baseline;
   os << b.threads << ',' << b.block.bx << ',' << b.block.by << ','
      << b.block.bz << ',' << b.nontemporal << ','
@@ -82,21 +85,12 @@ SolveResult SolverSession::solve(const SolveRequest& req) {
   if (impl_->opts.telemetry) cfg.telemetry = true;
   if (!impl_->opts.tune_cache_path.empty())
     cfg.tune_cache_path = impl_->opts.tune_cache_path;
-  auto solver = std::make_unique<StencilSolver>(Registry::global().make(
+  auto solver = std::make_unique<StencilSolver>(make_solver(
       req.variant, req.op, std::move(cfg), *req.initial, req.aux));
   out.stats = solver->advance(req.steps);
   ++impl_->created;
   reg.counter("session.solver.create").add(1);
 
-  const bool pool_full = impl_->opts.max_solvers != 0 &&
-                         impl_->pool.size() >= impl_->opts.max_solvers;
-  if (pool_full) {
-    // Bounded arena: the solve is still correct, the solver just dies
-    // with this call instead of joining the pool.
-    out.solver = nullptr;
-    out.reused = false;
-    return out;
-  }
   StencilSolver* raw = solver.get();
   impl_->pool.emplace(key, std::move(solver));
   out.solver = raw;

@@ -36,11 +36,6 @@ struct SessionOptions {
 
   /// Sets SolverConfig::telemetry on every solver the session builds.
   bool telemetry = false;
-
-  /// Upper bound on pooled solvers; 0 = unbounded.  When the pool is
-  /// full, new keys construct throwaway solvers (still correct, just no
-  /// reuse) instead of growing the arena without limit.
-  std::size_t max_solvers = 0;
 };
 
 /// One solve: which (variant, operator) to run on which data for how
@@ -80,7 +75,7 @@ class SolverSession {
   SolverSession& operator=(SolverSession&&) noexcept;
 
   /// Runs one case: pool hit -> reset + advance, miss -> construct
-  /// (through Registry::global().make, so meta variants resolve) +
+  /// (through make_solver, so meta variants resolve) +
   /// advance.  Ticks obs counters session.solver.create / .reuse.
   /// Throws std::invalid_argument on nullptr initial, unknown names, or
   /// an operator that needs an aux grid without one.

@@ -196,9 +196,7 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
         break;
       case Variant::kPipelined:
       case Variant::kWavefront: {
-        const int depth = cfg_.variant == Variant::kPipelined
-                              ? cfg_.pipeline.levels_per_sweep()
-                              : cfg_.wavefront.threads;
+        const int depth = cfg_.sweep_depth();
         const int sweeps = steps / depth;
         const int remainder = steps % depth;
         if (sweeps > 0)
@@ -287,8 +285,7 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
       compressed_->store(a_);
       return st;
     }
-    const int depth = pipelined_ ? cfg_.pipeline.levels_per_sweep()
-                                 : cfg_.wavefront.threads;
+    const int depth = cfg_.sweep_depth();
     RunStats st = pipelined_ ? pipelined_->run(a_, b_, sweeps, 0)
                              : wavefront_->run(a_, b_, sweeps, 0);
     if ((sweeps * depth) % 2 != 0) std::swap(a_, b_);

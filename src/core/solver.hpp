@@ -127,6 +127,19 @@ struct SolverConfig {
   /// are unset the instrumentation compiles down to one predictable
   /// branch per sweep.  Never changes results.
   bool telemetry = false;
+
+  /// Time levels one sweep of the schedule retires: the team-sweep depth
+  /// n*t*T for pipelined, the wavefront depth for wavefront, 1 for the
+  /// untiled schedules.  The model amortizes memory traffic over it, and
+  /// StencilSolver runs step counts that are not a multiple of it as
+  /// whole sweeps plus baseline remainder steps.
+  [[nodiscard]] int sweep_depth() const {
+    switch (variant) {
+      case Variant::kPipelined: return pipeline.levels_per_sweep();
+      case Variant::kWavefront: return wavefront.threads;
+      default: return 1;
+    }
+  }
 };
 
 /// Owns the working grids and advances them by arbitrary step counts.

@@ -16,16 +16,6 @@
 
 namespace tb::obs {
 
-/// Levels retired per pass over memory: the temporal-blocking depth the
-/// modeled traffic is amortized over (1 for the untiled schedules).
-[[nodiscard]] inline int model_sweep_depth(const core::SolverConfig& cfg) {
-  switch (cfg.variant) {
-    case core::Variant::kPipelined: return cfg.pipeline.levels_per_sweep();
-    case core::Variant::kWavefront: return cfg.wavefront.threads;
-    default: return 1;
-  }
-}
-
 /// The traffic row that prices `opname` under this config.  A bare
 /// "lbm" operator run with AA storage is priced on the "lbm:aa" row
 /// (one lattice, no write-allocate), so a tuner problem that ranks both
@@ -45,7 +35,7 @@ namespace tb::obs {
 [[nodiscard]] inline double model_bytes_per_lup(
     const core::SolverConfig& cfg, const std::string& opname) {
   const perfmodel::OperatorTraffic t = model_traffic(cfg, opname);
-  const int S = model_sweep_depth(cfg);
+  const int S = cfg.sweep_depth();
   const bool compressed =
       cfg.variant == core::Variant::kPipelined &&
       cfg.pipeline.scheme == core::GridScheme::kCompressed;

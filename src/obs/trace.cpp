@@ -9,6 +9,9 @@ namespace tb::obs {
 
 namespace {
 
+/// How often the writer thread drains the rings while a session runs.
+constexpr std::chrono::milliseconds kDrainInterval{10};
+
 std::size_t round_up_pow2(std::size_t v) {
   std::size_t p = 16;
   while (p < v) p <<= 1;
@@ -81,44 +84,37 @@ Trace& Trace::instance() {
   static Trace t;
   static const bool auto_start = [] {
     if (!env_enabled()) return false;
-    TraceOptions o;
     const char* chrome = std::getenv("TB_TRACE");
-    o.chrome_path =
-        (chrome != nullptr && chrome[0] != '\0') ? chrome : "tb_trace.json";
-    t.start(std::move(o));
+    t.start((chrome != nullptr && chrome[0] != '\0') ? chrome
+                                                      : "tb_trace.json");
     return true;
   }();
   (void)auto_start;
   return t;
 }
 
-void Trace::start(TraceOptions opts) {
-  if (running()) return;
-  discard_pending();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    opts_ = opts;
-    owned_sinks_.clear();
-    sinks_.clear();
-    if (!opts.chrome_path.empty())
-      owned_sinks_.push_back(
-          std::make_unique<ChromeTraceSink>(opts.chrome_path));
-    for (auto& s : owned_sinks_) sinks_.push_back(s.get());
-  }
-  recorded_.store(0, std::memory_order_relaxed);
-  running_.store(true, std::memory_order_release);
-  writer_ = std::thread(&Trace::writer_loop, this);
+void Trace::start(const std::string& chrome_path) {
+  begin_session(chrome_path.empty()
+                    ? nullptr
+                    : std::make_unique<ChromeTraceSink>(chrome_path),
+                nullptr);
 }
 
-void Trace::start_with_sink(TraceSink* sink, TraceOptions opts) {
+void Trace::start_with_sink(TraceSink* sink) { begin_session(nullptr, sink); }
+
+void Trace::begin_session(std::unique_ptr<TraceSink> owned,
+                          TraceSink* sink) {
   if (running()) return;
   discard_pending();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    opts_ = opts;
     owned_sinks_.clear();
     sinks_.clear();
-    sinks_.push_back(sink);
+    if (owned != nullptr) {
+      sink = owned.get();
+      owned_sinks_.push_back(std::move(owned));
+    }
+    if (sink != nullptr) sinks_.push_back(sink);
   }
   recorded_.store(0, std::memory_order_relaxed);
   running_.store(true, std::memory_order_release);
@@ -157,17 +153,15 @@ std::uint64_t Trace::dropped() const {
 
 Trace::ThreadBuffer* Trace::register_thread() {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t cap =
-      opts_.ring_capacity != 0 ? opts_.ring_capacity : (1u << 12);
   buffers_.push_back(std::make_unique<ThreadBuffer>(
-      cap, static_cast<std::uint32_t>(buffers_.size())));
+      static_cast<std::uint32_t>(buffers_.size())));
   return buffers_.back().get();
 }
 
 void Trace::writer_loop() {
   std::unique_lock<std::mutex> lock(cv_mu_);
   while (running_.load(std::memory_order_relaxed)) {
-    cv_.wait_for(lock, std::chrono::milliseconds(opts_.drain_interval_ms));
+    cv_.wait_for(lock, kDrainInterval);
     drain_all();
   }
 }

@@ -108,27 +108,24 @@ class CollectSink final : public TraceSink {
   bool closed_ = false;
 };
 
-struct TraceOptions {
-  std::string chrome_path;  ///< empty = no Chrome sink
-  std::size_t ring_capacity = 1u << 12;
-  int drain_interval_ms = 10;
-};
-
 /// The trace session: owns the per-thread rings, the sinks, and the
 /// writer thread.  instance() lazily constructs the singleton and —
 /// when TB_TELEMETRY is set — auto-starts a session writing Chrome
-/// JSON to $TB_TRACE (default "tb_trace.json").  The session is closed
-/// and the file written either by an explicit stop() or at process
-/// exit.
+/// JSON to $TB_TRACE (default "tb_trace.json").  Every registered thread
+/// gets a ring of TraceRing's default capacity, and the writer drains
+/// them every 10 ms; stop() drains them once more, so no event recorded
+/// before stop() is left behind.  The session is closed and the file
+/// written either by an explicit stop() or at process exit.
 class Trace {
  public:
   static Trace& instance();
 
-  /// Starts a session (no-op if one is running). Events left over in
-  /// the rings from an earlier session are discarded.
-  void start(TraceOptions opts);
+  /// Starts a session writing Chrome JSON to `chrome_path` (no-op if one
+  /// is running; empty path = no sink). Events left over in the rings
+  /// from an earlier session are discarded.
+  void start(const std::string& chrome_path);
   /// For tests: start with an externally owned sink.
-  void start_with_sink(TraceSink* sink, TraceOptions opts = {});
+  void start_with_sink(TraceSink* sink);
 
   /// Stops the writer thread, drains every ring, closes sinks.
   void stop();
@@ -155,8 +152,7 @@ class Trace {
  private:
   Trace() = default;
   struct ThreadBuffer {
-    explicit ThreadBuffer(std::size_t cap, std::uint32_t id)
-        : ring(cap), tid(id) {}
+    explicit ThreadBuffer(std::uint32_t id) : tid(id) {}
     TraceRing ring;
     std::uint32_t tid;
   };
@@ -164,15 +160,15 @@ class Trace {
   void writer_loop();
   void drain_all();
   void discard_pending();
+  void begin_session(std::unique_ptr<TraceSink> owned, TraceSink* sink);
 
   // Thread buffers are registered once per thread and never removed
   // (solver pool threads outlive sessions); sessions reuse them and
   // discard whatever a previous session left behind.
-  mutable std::mutex mu_;  // guards buffers_/sinks_/opts_
+  mutable std::mutex mu_;  // guards buffers_/sinks_
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
   std::vector<TraceSink*> sinks_;
   std::vector<std::unique_ptr<TraceSink>> owned_sinks_;
-  TraceOptions opts_;
   std::thread writer_;
   std::condition_variable cv_;
   std::mutex cv_mu_;

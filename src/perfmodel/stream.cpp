@@ -76,20 +76,4 @@ BandwidthResult stream_copy(std::size_t elems, int threads, bool nontemporal,
   return res;
 }
 
-BandwidthResult measure_ms(int threads, std::size_t llc_bytes) {
-  // Working set ~8x the LLC so the copy streams from memory.
-  const std::size_t elems = llc_bytes * 8 / sizeof(double) / 2;
-  return stream_copy(elems, threads, /*nontemporal=*/true);
-}
-
-BandwidthResult measure_ms1(std::size_t llc_bytes) {
-  return measure_ms(1, llc_bytes);
-}
-
-BandwidthResult measure_mc(int threads, std::size_t llc_bytes) {
-  // Working set ~1/4 of the LLC: both arrays resident in the shared cache.
-  const std::size_t elems = llc_bytes / 4 / sizeof(double) / 2;
-  return stream_copy(elems, threads, /*nontemporal=*/false, 20);
-}
-
 }  // namespace tb::perfmodel

@@ -6,9 +6,9 @@
 //   Ms,1 — single-threaded memory bandwidth,
 //   Mc   — multi-threaded bandwidth of the shared cache (working set < LLC).
 //
-// These kernels measure all three on the host; the bench binaries print
-// them next to the paper's Nehalem values so the machine-model experiments
-// can be re-run on real multicore hardware.
+// stream_copy measures each of them on the host; the repository benchmark
+// (bench/suite) calibrates its NodeModel with the three results, so the
+// machine-model experiments can be re-run on real multicore hardware.
 #pragma once
 
 #include <cstddef>
@@ -30,13 +30,5 @@ struct BandwidthResult {
 [[nodiscard]] BandwidthResult stream_copy(std::size_t elems, int threads,
                                           bool nontemporal,
                                           int repetitions = 5);
-
-/// Convenience wrappers for the model's three parameters, choosing working
-/// set sizes relative to the given last-level cache size.
-[[nodiscard]] BandwidthResult measure_ms(int threads,
-                                         std::size_t llc_bytes);
-[[nodiscard]] BandwidthResult measure_ms1(std::size_t llc_bytes);
-[[nodiscard]] BandwidthResult measure_mc(int threads,
-                                         std::size_t llc_bytes);
 
 }  // namespace tb::perfmodel

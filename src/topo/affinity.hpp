@@ -1,53 +1,13 @@
-// Thread-to-core affinity planning and (best-effort) pinning.
+// Host core count.
 //
-// A team must run on cores that share a cache; the AffinityPlan maps the
-// logical thread ids of the pipeline (team-major order) to core ids of a
-// MachineSpec.  Pinning uses pthreads and silently degrades to a no-op when
-// the host has fewer cores than the plan (e.g. an oversubscribed CI VM) —
-// correctness never depends on pinning.
+// The one fact about the host's cores the system acts on: how many
+// hardware threads it offers (topo::host_machine() sizes the machine with
+// it, and the benchmark caps its thread counts by it).
 #pragma once
 
 #include <thread>
-#include <vector>
-
-#include "topo/machine.hpp"
 
 namespace tb::topo {
-
-/// Maps pipeline thread ids to cores such that each team lands on one
-/// cache group (socket).
-class AffinityPlan {
- public:
-  /// Builds a plan for `teams` teams of `team_size` threads on `machine`.
-  /// Thread i of team g is assigned core g*cores_per_socket + i.
-  AffinityPlan(const MachineSpec& machine, int teams, int team_size)
-      : cores_per_group_(machine.cores_per_socket) {
-    core_of_.reserve(static_cast<std::size_t>(teams) * team_size);
-    for (int g = 0; g < teams; ++g)
-      for (int i = 0; i < team_size; ++i)
-        core_of_.push_back(g * cores_per_group_ + i);
-  }
-
-  [[nodiscard]] int core_of(int thread_id) const {
-    return core_of_.at(static_cast<std::size_t>(thread_id));
-  }
-
-  [[nodiscard]] int team_of(int thread_id) const {
-    return core_of(thread_id) / cores_per_group_;
-  }
-
-  [[nodiscard]] int num_threads() const {
-    return static_cast<int>(core_of_.size());
-  }
-
- private:
-  int cores_per_group_;
-  std::vector<int> core_of_;
-};
-
-/// Best-effort pinning of the calling thread to `core`. Returns true when
-/// the affinity mask was applied, false when unsupported or out of range.
-bool pin_current_thread(int core);
 
 /// Number of hardware threads actually available on this host.
 [[nodiscard]] inline int hardware_cores() {

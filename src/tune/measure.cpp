@@ -59,7 +59,7 @@ double measure_candidate(const Candidate& c, const Problem& p,
   core::StencilSolver solver =
       core::make_solver(c.variant, p.op, cfg, initial, &kappa);
 
-  const int depth = std::max(1, c.sweep_depth());
+  const int depth = std::max(1, c.cfg.sweep_depth());
   const int timed =
       ((std::max(opts.min_steps, 2 * depth) + depth - 1) / depth) * depth;
   solver.advance(depth);  // warm-up sweep: pools, pages, caches

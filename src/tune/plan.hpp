@@ -59,16 +59,6 @@ struct Candidate {
     return 1;
   }
 
-  /// Time levels one team sweep advances (1 for unblocked variants).
-  [[nodiscard]] int sweep_depth() const {
-    switch (cfg.variant) {
-      case core::Variant::kPipelined:
-        return cfg.pipeline.levels_per_sweep();
-      case core::Variant::kWavefront: return cfg.wavefront.threads;
-      default: return 1;
-    }
-  }
-
   /// Copies the schedule into `dst`, preserving dst.op (the operator is
   /// a property of the problem, not of the schedule).  The lbm storage
   /// policy IS part of the schedule: an "lbm" problem is tuned over both

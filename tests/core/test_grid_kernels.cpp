@@ -163,27 +163,5 @@ TEST_F(RowKernels, NontemporalHandlesUnalignedRanges) {
   }
 }
 
-TEST_F(RowKernels, ShiftDownWritesMinusOne) {
-  jacobi_row_shift_down(dst_.row(2, 2), src_.row(2, 2), src_.row(1, 2),
-                        src_.row(3, 2), src_.row(2, 1), src_.row(2, 3), 1,
-                        n_ + 1);
-  for (int i = 1; i <= n_; ++i) EXPECT_EQ(dst_.at(i - 1, 2, 2), expected(i));
-}
-
-TEST_F(RowKernels, ShiftUpWritesPlusOne) {
-  jacobi_row_shift_up(dst_.row(2, 2), src_.row(2, 2), src_.row(1, 2),
-                      src_.row(3, 2), src_.row(2, 1), src_.row(2, 3), 1,
-                      n_ + 1);
-  for (int i = 1; i <= n_; ++i) EXPECT_EQ(dst_.at(i + 1, 2, 2), expected(i));
-}
-
-TEST(CopyRowOffset, OverlappingShiftIsSafe) {
-  std::vector<double> v(16);
-  for (int i = 0; i < 16; ++i) v[static_cast<std::size_t>(i)] = i;
-  copy_row_offset(v.data(), v.data(), 1, 15, -1);  // shift left by one
-  for (int i = 0; i < 14; ++i)
-    EXPECT_EQ(v[static_cast<std::size_t>(i)], i + 1.0);
-}
-
 }  // namespace
 }  // namespace tb::core

@@ -1,8 +1,6 @@
-// The variant registry as an explicit re-entrant object: concurrent
-// meta-variant registration and lookup must be race-free (the old
-// function-local static map had no locking), meta factories may
-// re-enter make() while resolving, and the process-global instance
-// stays a thin shim over one shared Registry.
+// The variant registry's meta-variant table: concurrent registration
+// and lookup must be race-free, and meta factories may re-enter
+// make_solver() while resolving.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +15,6 @@ namespace tb::core {
 namespace {
 
 TEST(RegistryThreads, ConcurrentRegistrationAndLookup) {
-  Registry& reg = Registry::global();
   constexpr int kThreads = 8;
   constexpr int kNamesPerThread = 16;
 
@@ -32,25 +29,25 @@ TEST(RegistryThreads, ConcurrentRegistrationAndLookup) {
       for (int i = 0; i < kNamesPerThread; ++i) {
         const std::string name =
             "mt-meta-" + std::to_string(t) + "-" + std::to_string(i);
-        reg.register_meta(
+        register_meta_variant(
             name, [](std::string_view op, SolverConfig cfg,
                      const Grid3& initial, const Grid3* kappa) {
               cfg.variant = Variant::kReference;
-              return Registry::global().make("reference", op,
-                                             std::move(cfg), initial,
-                                             kappa);
+              return make_solver("reference", op, std::move(cfg), initial,
+                                 kappa);
             });
         // Interleave reads with the writes of every other thread.
-        if (reg.is_meta(name)) ++lookups;
-        (void)reg.meta_variants();
-        (void)reg.selectable();
+        SolverConfig probe;
+        if (apply_variant(probe, name)) ++lookups;
+        (void)registered_meta_variants();
+        (void)selectable_variants();
       }
     });
   go = true;
   for (std::thread& w : workers) w.join();
 
   EXPECT_EQ(lookups.load(), kThreads * kNamesPerThread);
-  const std::vector<std::string> metas = reg.meta_variants();
+  const std::vector<std::string> metas = registered_meta_variants();
   int mine = 0;
   for (const std::string& m : metas)
     if (m.rfind("mt-meta-", 0) == 0) ++mine;
@@ -58,32 +55,29 @@ TEST(RegistryThreads, ConcurrentRegistrationAndLookup) {
 }
 
 TEST(RegistryThreads, MetaFactoryMayReenterMake) {
-  Registry& reg = Registry::global();
-  reg.register_meta(
+  register_meta_variant(
       "reenter-reference",
       [](std::string_view op, SolverConfig cfg, const Grid3& initial,
          const Grid3* kappa) {
-        // Re-entering make() under the registration lock would
+        // Re-entering make_solver() under the registration lock would
         // deadlock; the registry must invoke factories unlocked.
-        return Registry::global().make("reference", op, std::move(cfg),
-                                       initial, kappa);
+        return make_solver("reference", op, std::move(cfg), initial, kappa);
       });
 
   const Grid3 initial = tb::test::make_initial(8);
-  StencilSolver solver =
-      reg.make("reenter-reference", "jacobi", SolverConfig{}, initial,
-               nullptr);
+  StencilSolver solver = make_solver("reenter-reference", "jacobi",
+                                     SolverConfig{}, initial, nullptr);
   solver.advance(2);
 
   StencilSolver fresh =
-      reg.make("reference", "jacobi", SolverConfig{}, initial, nullptr);
+      make_solver("reference", "jacobi", SolverConfig{}, initial, nullptr);
   fresh.advance(2);
   tb::test::expect_grids_bitwise_equal(solver.solution(),
                                        fresh.solution());
 }
 
 TEST(RegistryThreads, ConcreteNamesAreReserved) {
-  EXPECT_THROW(Registry::global().register_meta(
+  EXPECT_THROW(register_meta_variant(
                    "baseline",
                    [](std::string_view, SolverConfig, const Grid3&,
                       const Grid3*) -> StencilSolver {
@@ -94,11 +88,11 @@ TEST(RegistryThreads, ConcreteNamesAreReserved) {
 
 TEST(RegistryThreads, UnknownNamesStillThrow) {
   const Grid3 initial = tb::test::make_initial(6);
-  EXPECT_THROW(Registry::global().make("no-such-variant", "jacobi",
-                                       SolverConfig{}, initial, nullptr),
+  EXPECT_THROW(make_solver("no-such-variant", "jacobi", SolverConfig{},
+                           initial, nullptr),
                std::invalid_argument);
-  EXPECT_THROW(Registry::global().make("baseline", "no-such-op",
-                                       SolverConfig{}, initial, nullptr),
+  EXPECT_THROW(make_solver("baseline", "no-such-op", SolverConfig{},
+                           initial, nullptr),
                std::invalid_argument);
 }
 

@@ -11,9 +11,13 @@
 // level origin).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/norms.hpp"
 #include "core/registry.hpp"
 #include "core/session.hpp"
 #include "core/solver.hpp"
@@ -202,27 +206,110 @@ TEST(SolverSession, DistinctShapesGetDistinctSolvers) {
   EXPECT_EQ(session.solvers_reused(), 0u);
 }
 
-TEST(SolverSession, MaxSolversBoundsThePool) {
-  SessionOptions opts;
-  opts.max_solvers = 1;
-  SolverSession session(opts);
+TEST(SolverSession, PoolKeySeparatesEveryConfigField) {
+  const Grid3 initial = make_initial(8);
+  SolveRequest base;
+  base.variant = "pipelined";
+  base.op = "lbm";
+  base.initial = &initial;
+  const std::string key = SolverSession::fingerprint(base);
 
-  const Grid3 a = make_initial(8);
-  const Grid3 b = make_initial(10);
-  SolveRequest req;
-  req.variant = "reference";
-  req.op = "jacobi";
-  req.steps = 2;
+  // (a) One mutation per settable field of PipelineConfig,
+  // BaselineConfig, WavefrontConfig and LbmConfig, and per lbm_* field.
+  // Doubles move by one ulp: a key that rounds them collides.
+  const std::vector<std::pair<const char*, void (*)(SolverConfig&)>>
+      mutations{
+          {"teams", [](SolverConfig& c) { c.pipeline.teams = 2; }},
+          {"team_size", [](SolverConfig& c) { c.pipeline.team_size = 3; }},
+          {"steps_per_thread",
+           [](SolverConfig& c) { c.pipeline.steps_per_thread = 2; }},
+          {"pipeline.block.bx",
+           [](SolverConfig& c) { c.pipeline.block.bx += 1; }},
+          {"pipeline.block.by",
+           [](SolverConfig& c) { c.pipeline.block.by += 1; }},
+          {"pipeline.block.bz",
+           [](SolverConfig& c) { c.pipeline.block.bz += 1; }},
+          {"dl", [](SolverConfig& c) { c.pipeline.dl = 2; }},
+          {"du", [](SolverConfig& c) { c.pipeline.du = 5; }},
+          {"dt", [](SolverConfig& c) { c.pipeline.dt = 1; }},
+          {"sync",
+           [](SolverConfig& c) { c.pipeline.sync = SyncMode::kBarrier; }},
+          {"scheme",
+           [](SolverConfig& c) {
+             c.pipeline.scheme = GridScheme::kCompressed;
+           }},
+          {"baseline.threads",
+           [](SolverConfig& c) { c.baseline.threads = 2; }},
+          {"baseline.block.bx",
+           [](SolverConfig& c) { c.baseline.block.bx += 1; }},
+          {"baseline.block.by",
+           [](SolverConfig& c) { c.baseline.block.by += 1; }},
+          {"baseline.block.bz",
+           [](SolverConfig& c) { c.baseline.block.bz += 1; }},
+          {"nontemporal",
+           [](SolverConfig& c) { c.baseline.nontemporal = false; }},
+          {"placement",
+           [](SolverConfig& c) {
+             c.baseline.placement = topo::PagePlacement::kRoundRobin;
+           }},
+          {"wavefront.threads",
+           [](SolverConfig& c) { c.wavefront.threads = 2; }},
+          {"wavefront.by", [](SolverConfig& c) { c.wavefront.by = 8; }},
+          {"omega",
+           [](SolverConfig& c) {
+             c.lbm.omega = std::nextafter(c.lbm.omega, 3.0);
+           }},
+          {"rho0",
+           [](SolverConfig& c) {
+             c.lbm.rho0 = std::nextafter(c.lbm.rho0, 3.0);
+           }},
+          {"lid_velocity[0]",
+           [](SolverConfig& c) {
+             c.lbm.lid_velocity[0] =
+                 std::nextafter(c.lbm.lid_velocity[0], 3.0);
+           }},
+          {"lid_velocity[1]",
+           [](SolverConfig& c) { c.lbm.lid_velocity[1] = 1e-300; }},
+          {"lid_velocity[2]",
+           [](SolverConfig& c) { c.lbm.lid_velocity[2] = 1e-300; }},
+          {"lbm_storage",
+           [](SolverConfig& c) { c.lbm_storage = lbm::LbmStorage::kAA; }},
+          {"lbm_geometry_from_aux",
+           [](SolverConfig& c) { c.lbm_geometry_from_aux = true; }},
+          {"lbm_prefetch", [](SolverConfig& c) { c.lbm_prefetch = 8; }},
+      };
+  std::set<std::string> keys{key};
+  for (const auto& [name, mutate] : mutations) {
+    SolveRequest req = base;
+    mutate(req.cfg);
+    const std::string k = SolverSession::fingerprint(req);
+    EXPECT_NE(k, key) << name;
+    EXPECT_TRUE(keys.insert(k).second) << name << " collides";
+  }
 
-  req.initial = &a;
-  EXPECT_NE(session.solve(req).solver, nullptr);
-  req.initial = &b;
-  // Pool full: the solve still runs, but nothing is retained.
-  EXPECT_EQ(session.solve(req).solver, nullptr);
-  EXPECT_EQ(session.pool_size(), 1u);
-  // The pooled key still hits.
-  req.initial = &a;
-  EXPECT_TRUE(session.solve(req).reused);
+  // (b) Two omegas that agree in their first seven digits must run as
+  // two solvers; the second one with its own omega.
+  SolverSession session;
+  SolveRequest req = base;
+  req.variant = "baseline";
+  req.steps = 3;
+  req.cfg.lbm.omega = 1.2345671;
+  session.solve(req);
+  StencilSolver first =
+      make_solver(req.variant, req.op, req.cfg, initial, nullptr);
+  first.advance(req.steps);
+  req.cfg.lbm.omega = 1.2345674;
+  const SolveResult second = session.solve(req);
+  EXPECT_EQ(session.pool_size(), 2u);
+  EXPECT_FALSE(second.reused);
+
+  StencilSolver fresh =
+      make_solver(req.variant, req.op, req.cfg, initial, nullptr);
+  fresh.advance(req.steps);
+  // The two omegas give different flows, so reusing the first solver
+  // would show in the bits.
+  EXPECT_GT(max_abs_diff(first.solution(), fresh.solution()), 0.0);
+  expect_grids_bitwise_equal(second.solver->solution(), fresh.solution());
 }
 
 TEST(SolverSession, NullInitialThrows) {

@@ -6,7 +6,8 @@
 #include <cstdint>
 
 #include "core/norms.hpp"
-#include "core/varcoef.hpp"
+#include "core/pipeline.hpp"
+#include "core/stencil_op.hpp"
 
 namespace tb::core {
 namespace {
@@ -70,7 +71,7 @@ TEST(VarCoef, UniformKappaReducesToJacobi) {
   Box all;
   all.lo = {1, 1, 1};
   all.hi = {n - 1, n - 1, n - 1};
-  apply_varcoef_box(c, u, j1, all);
+  apply_box(VarCoefOp{&c}, u, j1, all, 0);
   // Jacobi: arithmetic mean of the six neighbours.
   for (int k = 1; k < n - 1; ++k)
     for (int j = 1; j < n - 1; ++j)
@@ -100,18 +101,17 @@ TEST_P(VarCoefEquivalence, PipelinedMatchesReference) {
   pc.block = {5, 4, 3};
   pc.du = 3;
 
-  DiffusionCoefficients coeffs(make_kappa(n));
-  PipelinedVarCoef solver(pc, std::move(coeffs));
+  const DiffusionCoefficients coeffs(make_kappa(n));
+  PipelinedSolver<VarCoefOp> solver(pc, n, n, n, VarCoefOp{&coeffs});
 
   const Grid3 initial = make_initial(n);
   Grid3 pa = initial.clone(), pb = initial.clone();
   Grid3 ra = initial.clone(), rb = initial.clone();
   const int sweeps = 2;
   solver.run(pa, pb, sweeps);
-  solver.reference_run(ra, rb, sweeps * pc.levels_per_sweep());
   const int steps = sweeps * pc.levels_per_sweep();
   Grid3& got = solver.result(pa, pb, sweeps);
-  Grid3& want = steps % 2 == 0 ? ra : rb;
+  Grid3& want = reference_solve_op(VarCoefOp{&coeffs}, ra, rb, steps);
   EXPECT_EQ(max_abs_diff(got, want), 0.0);
 }
 
@@ -133,7 +133,8 @@ TEST(VarCoef, ConductiveSlabCarriesMoreHeatInward) {
     pc.teams = 1;
     pc.team_size = 2;
     pc.block = {n, 6, 6};
-    PipelinedVarCoef solver(pc, DiffusionCoefficients(kappa));
+    const DiffusionCoefficients coeffs(kappa);
+    PipelinedSolver<VarCoefOp> solver(pc, n, n, n, VarCoefOp{&coeffs});
     const Grid3 initial = make_initial(n);
     Grid3 a = initial.clone(), b = initial.clone();
     solver.run(a, b, sweeps);
@@ -151,7 +152,8 @@ TEST(VarCoef, RejectsCompressedScheme) {
   pc.scheme = GridScheme::kCompressed;
   Grid3 kappa(8, 8, 8);
   kappa.fill(1.0);
-  EXPECT_THROW(PipelinedVarCoef(pc, DiffusionCoefficients(kappa)),
+  const DiffusionCoefficients coeffs(kappa);
+  EXPECT_THROW(PipelinedSolver<VarCoefOp>(pc, 8, 8, 8, VarCoefOp{&coeffs}),
                std::invalid_argument);
 }
 

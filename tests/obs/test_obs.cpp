@@ -147,10 +147,8 @@ TEST(ObsTraceRing, ConcurrentProducerConsumerKeepsOrder) {
 TEST(ObsTrace, SessionCollectsSpansFromManyThreads) {
   obs::set_enabled(true);
   obs::CollectSink sink;
-  obs::TraceOptions opts;
-  opts.drain_interval_ms = 1;
   obs::Trace& trace = obs::Trace::instance();
-  trace.start_with_sink(&sink, opts);
+  trace.start_with_sink(&sink);
 
   constexpr int kThreads = 3, kSpans = 200;
   std::vector<std::thread> workers;
@@ -184,10 +182,7 @@ TEST(ObsTrace, ChromeTraceFileIsWellFormedAndMonotonePerThread) {
   const std::string path = "test_obs_trace.json";
   obs::set_enabled(true);
   {
-    obs::TraceOptions opts;
-    opts.chrome_path = path;
-    opts.drain_interval_ms = 1;
-    obs::Trace::instance().start(opts);
+    obs::Trace::instance().start(path);
 
     core::Grid3 initial(12, 12, 12);
     core::fill_test_pattern(initial);

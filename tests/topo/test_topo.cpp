@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/grid.hpp"
-#include "topo/affinity.hpp"
 #include "topo/machine.hpp"
 #include "topo/placement.hpp"
 #include "util/aligned_buffer.hpp"
@@ -65,35 +64,6 @@ TEST(MachineSpec, ValidateRejectsNonsense) {
   m = nehalem_ep();
   m.shared_cache_bytes = 0;
   EXPECT_THROW(m.validate(), std::invalid_argument);
-}
-
-TEST(AffinityPlan, TeamsLandOnSockets) {
-  const MachineSpec m = nehalem_ep();
-  const AffinityPlan plan(m, 2, 4);
-  EXPECT_EQ(plan.num_threads(), 8);
-  for (int p = 0; p < 8; ++p) {
-    EXPECT_EQ(plan.team_of(p), p / 4);
-    EXPECT_EQ(plan.core_of(p), p);  // dense packing on this machine
-  }
-}
-
-TEST(AffinityPlan, PartialTeams) {
-  const AffinityPlan plan(nehalem_ep(), 2, 2);
-  EXPECT_EQ(plan.core_of(0), 0);
-  EXPECT_EQ(plan.core_of(1), 1);
-  EXPECT_EQ(plan.core_of(2), 4);  // second team starts on socket 1
-  EXPECT_EQ(plan.core_of(3), 5);
-}
-
-TEST(Affinity, PinRejectsOutOfRange) {
-  EXPECT_FALSE(pin_current_thread(-1));
-  EXPECT_FALSE(pin_current_thread(1 << 20));
-}
-
-TEST(Affinity, PinToCoreZeroWorksOnLinux) {
-#if defined(__linux__)
-  EXPECT_TRUE(pin_current_thread(0));
-#endif
 }
 
 TEST(Placement, ToString) {
