@@ -166,10 +166,6 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
         break;
       }
     }
-    // Static facts about the operator's working set (lbm geometry row
-    // classification, prefetch path) go to the registry once.
-    if (obs::enabled())
-      if (const lbm::LbmState* s = state_.lbm()) s->publish_telemetry();
   }
 
   RunStats advance(int steps, int base) override {

@@ -41,7 +41,6 @@
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
-#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -122,21 +121,10 @@ class DistributedStencil {
     neighbor_lo_ = geom_.neighbor_lo;
     neighbor_hi_ = geom_.neighbor_hi;
 
-    a_ = core::Grid3(local_n_[0], local_n_[1], local_n_[2]);
-    b_ = core::Grid3(local_n_[0], local_n_[1], local_n_[2]);
     // Both grids start as the local window of the global initial state:
     // the Dirichlet boundary must be present in both (levels alternate
     // grids), and out-of-domain ghost cells are zero-filled, never read.
-    a_.fill(0.0);
-    for (int k = 0; k < local_n_[2]; ++k)
-      for (int j = 0; j < local_n_[1]; ++j)
-        for (int i = 0; i < local_n_[0]; ++i) {
-          const int gi = to_global(i, 0), gj = to_global(j, 1),
-                    gk = to_global(k, 2);
-          if (gi >= 0 && gi < global_n_[0] && gj >= 0 && gj < global_n_[1] &&
-              gk >= 0 && gk < global_n_[2])
-            a_.at(i, j, k) = global_initial.at(gi, gj, gk);
-        }
+    a_ = local_window(global_initial);
     b_ = a_.clone();
 
     if constexpr (std::is_same_v<Op, core::VarCoefOp>) {
@@ -153,18 +141,7 @@ class DistributedStencil {
       // face coefficients of every cell this rank may update — including
       // ghost-layer updates down to depth 1 — depend only on kappa values
       // inside this window.
-      core::Grid3 local_kappa(local_n_[0], local_n_[1], local_n_[2]);
-      local_kappa.fill(0.0);
-      for (int k = 0; k < local_n_[2]; ++k)
-        for (int j = 0; j < local_n_[1]; ++j)
-          for (int i = 0; i < local_n_[0]; ++i) {
-            const int gi = to_global(i, 0), gj = to_global(j, 1),
-                      gk = to_global(k, 2);
-            if (gi >= 0 && gi < global_n_[0] && gj >= 0 &&
-                gj < global_n_[1] && gk >= 0 && gk < global_n_[2])
-              local_kappa.at(i, j, k) = global_aux->at(gi, gj, gk);
-          }
-      coeffs_.emplace(local_kappa);
+      coeffs_.emplace(local_window(*global_aux));
       solver_.emplace(cfg.pipeline, level_clips(), Op{&*coeffs_});
     } else if constexpr (StateTraits::kHasStateFields) {
       // State-fields contract (core/stencil_op.hpp): the operator cuts a
@@ -242,37 +219,16 @@ class DistributedStencil {
             ? &obs::Registry::global().histogram("dist.gather.seconds")
             : nullptr);
     obs::Span span("dist.gather", "dist");
-    const core::Grid3& cur = current();
+    std::vector<core::Grid3*> dst;
     if (comm_.rank() == root) {
       if (out == nullptr)
         throw std::invalid_argument("DistributedStencil: root needs a grid");
       if (out->nx() != global_n_[0] || out->ny() != global_n_[1] ||
           out->nz() != global_n_[2])
         throw std::invalid_argument("DistributedStencil: gather shape");
-      for (int r = 0; r < comm_.size(); ++r) {
-        std::array<int, 3> lo, cnt;
-        for (int d = 0; d < 3; ++d)
-          std::tie(lo[d], cnt[d]) =
-              owned_range(d, decomp_.topology().coords_of(r)[d]);
-        std::vector<double> buf(static_cast<std::size_t>(cnt[0]) * cnt[1] *
-                                cnt[2]);
-        if (r == root) {
-          pack_owned(cur, buf);
-        } else {
-          comm_.recv(r, kGatherTag, buf);
-        }
-        std::size_t p = 0;
-        for (int k = 0; k < cnt[2]; ++k)
-          for (int j = 0; j < cnt[1]; ++j)
-            for (int i = 0; i < cnt[0]; ++i)
-              out->at(lo[0] + i, lo[1] + j, lo[2] + k) = buf[p++];
-      }
-    } else {
-      std::vector<double> buf(static_cast<std::size_t>(own_[0]) * own_[1] *
-                              own_[2]);
-      pack_owned(cur, buf);
-      comm_.send(root, kGatherTag, buf);
+      dst.push_back(out);
     }
+    gather_fields({&current()}, dst, kGatherTag, root);
   }
 
   /// Number of read-write side-channel fields the operator declares
@@ -297,42 +253,21 @@ class DistributedStencil {
     if constexpr (!StateTraits::kHasStateFields) {
       if (comm_.rank() == root && out != nullptr) out->clear();
     } else {
-      const auto fields = std::as_const(*state_).fields(base_level_);
-      const std::size_t nf = fields.size();
+      const auto fields = state_->fields(base_level_);
+      std::vector<core::Grid3*> dst;
       if (comm_.rank() == root) {
         if (out == nullptr)
           throw std::invalid_argument(
               "DistributedStencil: root needs a field vector");
         out->clear();
-        for (std::size_t f = 0; f < nf; ++f) {
+        for (std::size_t f = 0; f < fields.size(); ++f) {
           out->emplace_back(global_n_[0], global_n_[1], global_n_[2]);
           out->back().fill(0.0);
         }
-        for (int r = 0; r < comm_.size(); ++r) {
-          std::array<int, 3> lo, cnt;
-          for (int d = 0; d < 3; ++d)
-            std::tie(lo[d], cnt[d]) =
-                owned_range(d, decomp_.topology().coords_of(r)[d]);
-          std::vector<double> buf(static_cast<std::size_t>(cnt[0]) *
-                                  cnt[1] * cnt[2] * nf);
-          if (r == root) {
-            pack_owned_fields(fields, buf);
-          } else {
-            comm_.recv(r, kStateGatherTag, buf);
-          }
-          std::size_t p = 0;
-          for (std::size_t f = 0; f < nf; ++f)
-            for (int k = 0; k < cnt[2]; ++k)
-              for (int j = 0; j < cnt[1]; ++j)
-                for (int i = 0; i < cnt[0]; ++i)
-                  (*out)[f].at(lo[0] + i, lo[1] + j, lo[2] + k) = buf[p++];
-        }
-      } else {
-        std::vector<double> buf(static_cast<std::size_t>(own_[0]) *
-                                own_[1] * own_[2] * nf);
-        pack_owned_fields(fields, buf);
-        comm_.send(root, kStateGatherTag, buf);
+        for (core::Grid3& g : *out) dst.push_back(&g);
       }
+      gather_fields({fields.begin(), fields.end()}, dst, kStateGatherTag,
+                    root);
     }
   }
 
@@ -356,6 +291,58 @@ class DistributedStencil {
 
   [[nodiscard]] int to_global(int local, int d) const {
     return own_lo_[d] - halo_ + local;
+  }
+
+  /// This rank's local window of a global-shape grid, zero-filled where
+  /// the window leaves the global domain.
+  [[nodiscard]] core::Grid3 local_window(const core::Grid3& global) const {
+    core::Grid3 w(local_n_[0], local_n_[1], local_n_[2]);
+    w.fill(0.0);
+    for (int k = 0; k < local_n_[2]; ++k)
+      for (int j = 0; j < local_n_[1]; ++j)
+        for (int i = 0; i < local_n_[0]; ++i) {
+          const int gi = to_global(i, 0), gj = to_global(j, 1),
+                    gk = to_global(k, 2);
+          if (gi >= 0 && gi < global_n_[0] && gj >= 0 && gj < global_n_[1] &&
+              gk >= 0 && gk < global_n_[2])
+            w.at(i, j, k) = global.at(gi, gj, gk);
+        }
+    return w;
+  }
+
+  /// Collects the owned cells of this rank's grids `src` into the
+  /// global-shape grids `dst` on the root (`dst` is empty elsewhere):
+  /// every other rank sends one field-major message, and the root
+  /// unpacks each rank's owned box in rank order.  The one path behind
+  /// gather() and gather_state().
+  void gather_fields(const std::vector<core::Grid3*>& src,
+                     const std::vector<core::Grid3*>& dst, int tag,
+                     int root) {
+    const std::array<int, 3> own_lo{halo_, halo_, halo_};
+    const std::array<int, 3> own_hi{halo_ + own_[0], halo_ + own_[1],
+                                    halo_ + own_[2]};
+    std::vector<double> buf;
+    if (comm_.rank() != root) {
+      pack(src, own_lo, own_hi, buf);
+      comm_.send(root, tag, buf);
+      return;
+    }
+    for (int r = 0; r < comm_.size(); ++r) {
+      std::array<int, 3> lo, hi;
+      for (int d = 0; d < 3; ++d) {
+        const auto [first, count] =
+            owned_range(d, decomp_.topology().coords_of(r)[d]);
+        lo[d] = first;
+        hi[d] = first + count;
+      }
+      if (r == root) {
+        pack(src, own_lo, own_hi, buf);
+      } else {
+        buf.resize(box_cells(lo, hi) * src.size());
+        comm_.recv(r, tag, buf);
+      }
+      unpack(dst, lo, hi, buf);
+    }
   }
 
   /// Grid holding the current base time level.
@@ -568,27 +555,6 @@ class DistributedStencil {
       for (int k = lo[2]; k < hi[2]; ++k)
         for (int j = lo[1]; j < hi[1]; ++j)
           for (int i = lo[0]; i < hi[0]; ++i) g->at(i, j, k) = buf[p++];
-  }
-
-  void pack_owned(const core::Grid3& g, std::vector<double>& buf) const {
-    std::size_t p = 0;
-    for (int k = 0; k < own_[2]; ++k)
-      for (int j = 0; j < own_[1]; ++j)
-        for (int i = 0; i < own_[0]; ++i)
-          buf[p++] = g.at(halo_ + i, halo_ + j, halo_ + k);
-  }
-
-  /// Owned cells of every state field, field-major — the gather_state
-  /// analogue of pack_owned.
-  template <class FieldRange>
-  void pack_owned_fields(const FieldRange& fields,
-                         std::vector<double>& buf) const {
-    std::size_t p = 0;
-    for (const core::Grid3* f : fields)
-      for (int k = 0; k < own_[2]; ++k)
-        for (int j = 0; j < own_[1]; ++j)
-          for (int i = 0; i < own_[0]; ++i)
-            buf[p++] = f->at(halo_ + i, halo_ + j, halo_ + k);
   }
 
   simnet::Comm& comm_;

@@ -73,7 +73,6 @@
 
 #include "core/stencil_op.hpp"
 #include "lbm/kernel.hpp"
-#include "obs/registry.hpp"
 
 namespace tb::lbm {
 
@@ -173,31 +172,6 @@ class LbmState {
   [[nodiscard]] const std::uint64_t* mask_row(int j, int k) const {
     return masks_.data() +
            (static_cast<std::size_t>(k) * geo_.ny() + j) * geo_.nx();
-  }
-
-  /// Publishes the static working-set facts to the metrics registry:
-  /// how many interior rows run the pure-fluid kernel (every mask zero
-  /// — no bounce-back branch) vs. the mixed row path, and which
-  /// software-prefetch distance the row kernels will take.  Called once
-  /// per solver construction when telemetry is enabled.
-  void publish_telemetry() const {
-    const int nx = geo_.nx(), ny = geo_.ny(), nz = geo_.nz();
-    long long fluid_rows = 0, mixed_rows = 0;
-    for (int k = 1; k < nz - 1; ++k)
-      for (int j = 1; j < ny - 1; ++j) {
-        const std::uint64_t* m = mask_row(j, k);
-        bool pure = true;
-        for (int i = 1; i < nx - 1; ++i)
-          if (m[i] != 0) {
-            pure = false;
-            break;
-          }
-        (pure ? fluid_rows : mixed_rows) += 1;
-      }
-    obs::Registry& reg = obs::Registry::global();
-    reg.gauge("lbm.rows.fluid").set(static_cast<double>(fluid_rows));
-    reg.gauge("lbm.rows.mixed").set(static_cast<double>(mixed_rows));
-    reg.gauge("lbm.prefetch.distance").set(static_cast<double>(prefetch));
   }
 
   /// Lattice holding the distributions of time levels with parity `p`

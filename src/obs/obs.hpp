@@ -1,7 +1,8 @@
 // Telemetry gating and the shared trace clock.
 //
-// The whole observability layer (obs/registry.hpp metrics, obs/trace.hpp
-// spans, obs/rundb.hpp run rows) hangs off one process-wide switch:
+// The whole observability layer (obs/registry.hpp counters and timing
+// sums, obs/trace.hpp in-memory spans, obs/rundb.hpp run rows) hangs off
+// one process-wide switch:
 //
 //   enabled()  —  true when the TB_TELEMETRY environment variable is set
 //                 (and not "0"), or after set_enabled(true) — which is
@@ -40,7 +41,7 @@ inline bool enabled() {
 void set_enabled(bool on);
 
 /// Nanoseconds on the steady clock since a process-local epoch — the
-/// time base every trace event and histogram sample shares.
+/// time base every trace event and timing sample shares.
 [[nodiscard]] std::uint64_t now_ns();
 
 }  // namespace tb::obs

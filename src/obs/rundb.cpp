@@ -51,7 +51,11 @@ bool append_run_rows(const std::string& path,
     print_row(f, r);
     std::fprintf(f, "\n");
   }
-  std::fclose(f);
+  const bool written = std::ferror(f) == 0;
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "warning: cannot append to %s\n", path.c_str());
+    return false;
+  }
   return true;
 }
 
