@@ -98,12 +98,23 @@ struct JacobiOp {
 /// Precomputed face-coefficient fields for the heterogeneous-diffusion
 /// stencil: the standard finite-volume discretization of
 /// div(kappa grad u) = 0 with harmonic-mean face coefficients.
+///
+/// Each face is stored once: field d at cell c holds harmonic(kappa(c),
+/// kappa(c - e_d)), the -d face of c and the +d face of c - e_d.  It has
+/// the bits of harmonic(kappa(c - e_d), kappa(c)) too: harmonic() is
+/// symmetric bit for bit while 2.0 * a is exact (kappa < DBL_MAX / 2),
+/// since the product and the sum commute.
 class DiffusionCoefficients {
  public:
+  /// The six face rows the update of row (j, k) reads.
+  struct FaceRows {
+    const double *xm, *xp, *ym, *yp, *zm, *zp;
+  };
+
   /// Builds face coefficients from a cell-centered kappa field (same
   /// shape as the solution grid; kappa must be positive on the interior
   /// and its boundary-adjacent layer).  `threads` split the faces over
-  /// z-slices, here and in rebuild(); every cell is computed on its own,
+  /// z-slices, here and in rebuild(); every face is computed on its own,
   /// so the coefficients do not depend on the split.
   explicit DiffusionCoefficients(const Grid3& kappa, int threads = 1)
       : nx_(kappa.nx()),
@@ -126,50 +137,55 @@ class DiffusionCoefficients {
     fill_faces(kappa);
   }
 
-  [[nodiscard]] const Grid3& face(int f) const {
-    return faces_[static_cast<std::size_t>(f)];
+  /// Rows of an interior row (j, k): the +x face is the -x row shifted
+  /// by one cell, the +y and +z faces are the next row and plane.
+  [[nodiscard]] FaceRows rows(int j, int k) const {
+    const double* xm = faces_[0].row(j, k);
+    return {xm, xm + 1, faces_[1].row(j, k), faces_[1].row(j + 1, k),
+            faces_[2].row(j, k), faces_[2].row(j, k + 1)};
   }
-  [[nodiscard]] int nx() const { return nx_; }
-  [[nodiscard]] int ny() const { return ny_; }
-  [[nodiscard]] int nz() const { return nz_; }
 
  private:
   static double harmonic(double a, double b) {
     return (a > 0 && b > 0) ? 2.0 * a * b / (a + b) : 0.0;
   }
 
+  /// Every field over the cells [1, n - 1]^3: each face an interior cell
+  /// reads, plus faces between two boundary cells that nothing reads.
   void fill_faces(const Grid3& kappa) {
-    util::for_each_slice(threads_, 1, nz_ - 1, [&](int, int k0, int k1) {
+    util::for_each_slice(threads_, 1, nz_, [&](int, int k0, int k1) {
       for (int k = k0; k < k1; ++k)
-        for (int j = 1; j < ny_ - 1; ++j)
-          for (int i = 1; i < nx_ - 1; ++i) {
-            const double kc = kappa.at(i, j, k);
-            const std::array<double, 6> knb = {
-                kappa.at(i - 1, j, k), kappa.at(i + 1, j, k),
-                kappa.at(i, j - 1, k), kappa.at(i, j + 1, k),
-                kappa.at(i, j, k - 1), kappa.at(i, j, k + 1)};
-            for (int f = 0; f < 6; ++f) {
-              const double h = harmonic(kc, knb[static_cast<std::size_t>(f)]);
-              faces_[static_cast<std::size_t>(f)].at(i, j, k) = h;
-            }
+        for (int j = 1; j < ny_; ++j) {
+          const double* kc = kappa.row(j, k);
+          const double* ky = kappa.row(j - 1, k);
+          const double* kz = kappa.row(j, k - 1);
+          double* fx = faces_[0].row(j, k);
+          double* fy = faces_[1].row(j, k);
+          double* fz = faces_[2].row(j, k);
+          for (int i = 1; i < nx_; ++i) {
+            fx[i] = harmonic(kc[i], kc[i - 1]);
+            fy[i] = harmonic(kc[i], ky[i]);
+            fz[i] = harmonic(kc[i], kz[i]);
           }
+        }
     });
   }
 
   int nx_, ny_, nz_;
-  int threads_;  ///< z-slices fill_faces splits the interior into
-  std::array<Grid3, 6> faces_;  ///< order: -x +x -y +y -z +z
+  int threads_;  ///< z-slices fill_faces splits the planes into
+  std::array<Grid3, 3> faces_;  ///< one field per axis: x, y, z
 };
 
 /// Variable-coefficient (heterogeneous) diffusion fixed-point iteration:
 ///
 ///   u'(x) = sum_d [ cW_d(x) u(x-e_d) + cE_d(x) u(x+e_d) ] / C(x),
 ///
-/// where the six face coefficients c are precomputed from a material
-/// field kappa and C is their sum.  The coefficient fields are indexed
-/// with the LOGICAL (i, j, k) — they never shift, which is what lets the
-/// compressed-grid scheme (whose solution window drifts through its
-/// allocation) run this operator unchanged.
+/// where the six face coefficients c, read from three stored face fields
+/// (DiffusionCoefficients), come from a material field kappa and C is
+/// their sum.  The coefficient fields are indexed with the LOGICAL
+/// (i, j, k) — they never shift, which is what lets the compressed-grid
+/// scheme (whose solution window drifts through its allocation) run this
+/// operator unchanged.
 struct VarCoefOp {
   static constexpr int kHalo = 1;
   static constexpr bool kHasNontemporal = false;
@@ -218,19 +234,14 @@ struct VarCoefOp {
            const double* __restrict__ jm, const double* __restrict__ jp,
            const double* __restrict__ km, const double* __restrict__ kp,
            int /*level*/, int j, int k, int i0, int i1) const {
-    const double* cxm = coeffs->face(0).row(j, k);
-    const double* cxp = coeffs->face(1).row(j, k);
-    const double* cym = coeffs->face(2).row(j, k);
-    const double* cyp = coeffs->face(3).row(j, k);
-    const double* czm = coeffs->face(4).row(j, k);
-    const double* czp = coeffs->face(5).row(j, k);
+    const auto f = coeffs->rows(j, k);
     constexpr int W = util::simd::dvec::kWidth;
     int i = i0;
     for (; i + W <= i1; i += W)
-      cell_vec(c, jm, jp, km, kp, cxm, cxp, cym, cyp, czm, czp, i)
+      cell_vec(c, jm, jp, km, kp, f.xm, f.xp, f.ym, f.yp, f.zm, f.zp, i)
           .store(dst + i);
     for (; i < i1; ++i)
-      dst[i] = cell(c, jm, jp, km, kp, cxm, cxp, cym, cyp, czm, czp, i);
+      dst[i] = cell(c, jm, jp, km, kp, f.xm, f.xp, f.ym, f.yp, f.zm, f.zp, i);
   }
 
   void row_reverse(double* __restrict__ dst, const double* __restrict__ c,
@@ -239,19 +250,14 @@ struct VarCoefOp {
                    const double* __restrict__ km,
                    const double* __restrict__ kp, int /*level*/, int j,
                    int k, int i0, int i1) const {
-    const double* cxm = coeffs->face(0).row(j, k);
-    const double* cxp = coeffs->face(1).row(j, k);
-    const double* cym = coeffs->face(2).row(j, k);
-    const double* cyp = coeffs->face(3).row(j, k);
-    const double* czm = coeffs->face(4).row(j, k);
-    const double* czp = coeffs->face(5).row(j, k);
+    const auto f = coeffs->rows(j, k);
     constexpr int W = util::simd::dvec::kWidth;
     int i = i1 - W;
     for (; i >= i0; i -= W)
-      cell_vec(c, jm, jp, km, kp, cxm, cxp, cym, cyp, czm, czp, i)
+      cell_vec(c, jm, jp, km, kp, f.xm, f.xp, f.ym, f.yp, f.zm, f.zp, i)
           .store(dst + i);
     for (i += W - 1; i >= i0; --i)
-      dst[i] = cell(c, jm, jp, km, kp, cxm, cxp, cym, cyp, czm, czp, i);
+      dst[i] = cell(c, jm, jp, km, kp, f.xm, f.xp, f.ym, f.yp, f.zm, f.zp, i);
   }
 
   void row_nt(double* dst, const double* c, const double* jm,

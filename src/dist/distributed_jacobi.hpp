@@ -140,8 +140,9 @@ class DistributedStencil {
       // Rank-local kappa window (zero outside the domain, like a_): the
       // face coefficients of every cell this rank may update — including
       // ghost-layer updates down to depth 1 — depend only on kappa values
-      // inside this window.
-      coeffs_.emplace(local_window(*global_aux));
+      // inside this window.  The rank's team fills them (bits unchanged).
+      coeffs_.emplace(local_window(*global_aux),
+                      cfg.pipeline.total_threads());
       solver_.emplace(cfg.pipeline, level_clips(), Op{&*coeffs_});
     } else if constexpr (StateTraits::kHasStateFields) {
       // State-fields contract (core/stencil_op.hpp): the operator cuts a

@@ -51,14 +51,14 @@ struct OperatorTraffic {
   /// carrier block's bytes (the `block_bytes` the capacity gate is fed).
   /// 1.0 is the historic Jacobi calibration; operators whose update
   /// streams additional per-cell fields through the cache (varcoef's
-  /// six coefficients, lbm's two 19-component lattices) scale it up so
+  /// three face fields, lbm's two 19-component lattices) scale it up so
   /// the Sec. 1.3 capacity estimate sees their real working set.
   double block_state_factor = 1.0;
 
   /// Concurrent read streams one row sweep advances (distinct arrays /
   /// row pointers walked in lockstep): what the hardware prefetcher must
-  /// track.  5 for the 7-point carriers (c, j±1, k±1), 11 for varcoef
-  /// (+6 coefficient rows), 9 for box27's row set, 21 for the D3Q19 pull
+  /// track.  5 for the 7-point carriers (c, j±1, k±1), 10 for varcoef
+  /// (+5 face rows), 9 for box27's row set, 21 for the D3Q19 pull
   /// (19 distributions + carrier + mask).  Feeds
   /// NodeModel::gather_efficiency, which discounts operators exceeding
   /// the tracker budget unless software prefetch covers them.
@@ -75,9 +75,9 @@ struct OperatorTraffic {
     t.mem_bytes = 24.0;
     t.mem_bytes_nt = 16.0;  // streaming stores skip the write-allocate
   } else if (op == "varcoef") {
-    t.aux_bytes = 6 * sizeof(double);  // six face-coefficient fields
+    t.aux_bytes = 3 * sizeof(double);  // one face field per axis
     t.block_state_factor = 1.0 + t.aux_bytes / t.mem_bytes;
-    t.read_streams = 11.0;  // 5 solution rows + 6 coefficient rows
+    t.read_streams = 10.0;  // 5 solution rows + x, y, y+1, z, z+1 faces
   } else if (op == "box27") {
     t.read_streams = 9.0;  // c, j±1, k±1 and the four diagonal rows
   } else if (op == "lbm") {

@@ -2,12 +2,14 @@
 // engine (generality of the scheme beyond constant-coefficient Jacobi).
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "core/norms.hpp"
 #include "core/pipeline.hpp"
 #include "core/stencil_op.hpp"
+#include "util/aligned_buffer.hpp"
 
 namespace tb::core {
 namespace {
@@ -30,19 +32,88 @@ Grid3 make_initial(int n) {
   return g;
 }
 
-TEST(VarCoef, HarmonicFaceCoefficientsAreSymmetric) {
-  const int n = 10;
-  DiffusionCoefficients c(make_kappa(n));
-  // Flux continuity: the +x face of cell i equals the -x face of i+1.
-  for (int k = 2; k < n - 2; ++k)
-    for (int j = 2; j < n - 2; ++j)
-      for (int i = 2; i < n - 3; ++i)
-        EXPECT_DOUBLE_EQ(c.face(1).at(i, j, k), c.face(0).at(i + 1, j, k));
+/// The per-face formula, evaluated with the cell first and the
+/// neighbour second for each of the six faces: the oracle the shared
+/// face fields must reproduce bit for bit.
+double harmonic_oracle(double a, double b) {
+  return (a > 0 && b > 0) ? 2.0 * a * b / (a + b) : 0.0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Varied kappa with zero and negative entries; `scale` (if nonzero)
+/// multiplies every cell by 2^scale, `mixed` alternates 2^300 and 2^-300
+/// cell by cell so every face pairs extreme magnitudes.
+Grid3 make_hostile_kappa(int nx, int ny, int nz, int scale, bool mixed) {
+  Grid3 kappa(nx, ny, nz);
+  fill_test_pattern(kappa);  // >= -1.25
+  for (int k = 0; k < nz; ++k)
+    for (int j = 0; j < ny; ++j)
+      for (int i = 0; i < nx; ++i) {
+        double& v = kappa.at(i, j, k);
+        v += 1.0;  // mostly positive, some negative
+        if ((i + 2 * j + 3 * k) % 7 == 0) v = 0.0;
+        if (mixed) v = std::ldexp(v, (i + j + k) % 2 == 0 ? 300 : -300);
+        if (scale != 0) v = std::ldexp(v, scale);
+      }
+  return kappa;
+}
+
+TEST(VarCoef, FaceRowsMatchPerCellHarmonicBitwise) {
+  struct Shape {
+    int nx, ny, nz;
+  };
+  const Shape shapes[] = {{9, 7, 5}, {13, 6, 11}, {5, 12, 8}, {17, 3, 4}};
+  struct Field {
+    int scale;
+    bool mixed;
+  };
+  const Field fields[] = {{0, false}, {300, false}, {-300, false},
+                          {0, true}};
+  long long checked = 0;
+  for (const Shape& s : shapes)
+    for (const Field& fd : fields) {
+      const Grid3 kappa =
+          make_hostile_kappa(s.nx, s.ny, s.nz, fd.scale, fd.mixed);
+      for (const int threads : {1, 3, 4}) {
+        const DiffusionCoefficients coeffs(kappa, threads);
+        for (int k = 1; k < s.nz - 1; ++k)
+          for (int j = 1; j < s.ny - 1; ++j) {
+            // The six pointers VarCoefOp::row reads for this row.
+            const DiffusionCoefficients::FaceRows f = coeffs.rows(j, k);
+            for (int i = 1; i < s.nx - 1; ++i) {
+              const double kc = kappa.at(i, j, k);
+              const double got[6] = {f.xm[i], f.xp[i], f.ym[i],
+                                     f.yp[i], f.zm[i], f.zp[i]};
+              const double want[6] = {
+                  harmonic_oracle(kc, kappa.at(i - 1, j, k)),
+                  harmonic_oracle(kc, kappa.at(i + 1, j, k)),
+                  harmonic_oracle(kc, kappa.at(i, j - 1, k)),
+                  harmonic_oracle(kc, kappa.at(i, j + 1, k)),
+                  harmonic_oracle(kc, kappa.at(i, j, k - 1)),
+                  harmonic_oracle(kc, kappa.at(i, j, k + 1))};
+              for (int face = 0; face < 6; ++face) {
+                ASSERT_TRUE(same_bits(got[face], want[face]))
+                    << "face " << face << " at (" << i << "," << j << ","
+                    << k << ") shape " << s.nx << "x" << s.ny << "x"
+                    << s.nz << " scale " << fd.scale << " mixed "
+                    << fd.mixed << " threads " << threads << ": "
+                    << got[face] << " vs " << want[face];
+                ++checked;
+              }
+            }
+          }
+      }
+    }
+  // Every shape has interior cells; the sweep is not vacuous.
+  EXPECT_GT(checked, 10000);
 }
 
 TEST(VarCoef, FaceCoefficientsIndependentOfThreadCount) {
-  // A varied positive field; its 9 interior z-slices do not split evenly
-  // over 4 threads.
+  // A varied positive field; its 10 filled z-planes do not split evenly
+  // over 4 threads (nor over 3, in the bitwise test above).
   Grid3 kappa(21, 13, 11);
   fill_test_pattern(kappa);  // >= -1.25
   for (int k = 0; k < kappa.nz(); ++k)
@@ -50,14 +121,34 @@ TEST(VarCoef, FaceCoefficientsIndependentOfThreadCount) {
       for (int i = 0; i < kappa.nx(); ++i) kappa.at(i, j, k) += 2.0;
   const DiffusionCoefficients one(kappa, 1);
   const DiffusionCoefficients four(kappa, 4);
-  for (int f = 0; f < 6; ++f)
-    for (int k = 1; k < kappa.nz() - 1; ++k)
-      for (int j = 1; j < kappa.ny() - 1; ++j)
+  // The six rows of every interior row reach every stored face.
+  for (int k = 1; k < kappa.nz() - 1; ++k)
+    for (int j = 1; j < kappa.ny() - 1; ++j) {
+      const auto a = one.rows(j, k), b = four.rows(j, k);
+      const double* ra[6] = {a.xm, a.xp, a.ym, a.yp, a.zm, a.zp};
+      const double* rb[6] = {b.xm, b.xp, b.ym, b.yp, b.zm, b.zp};
+      for (int face = 0; face < 6; ++face)
         for (int i = 1; i < kappa.nx() - 1; ++i)
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(one.face(f).at(i, j, k)),
-                    std::bit_cast<std::uint64_t>(four.face(f).at(i, j, k)))
-              << "face " << f << " at (" << i << "," << j << "," << k
+          ASSERT_TRUE(same_bits(ra[face][i], rb[face][i]))
+              << "face " << face << " at (" << i << "," << j << "," << k
               << ")";
+    }
+}
+
+TEST(VarCoef, StoresThreeFaceFields) {
+  // One field per axis: constructing the coefficients allocates exactly
+  // three grids of the kappa shape, and nothing else.
+  const int n = 24;
+  const Grid3 kappa = make_kappa(n);
+  const std::uint64_t probe0 = util::buffer_bytes_in_use();
+  const Grid3 probe(n, n, n);
+  const std::uint64_t grid_bytes = util::buffer_bytes_in_use() - probe0;
+  ASSERT_GT(grid_bytes, 0u);
+  const std::uint64_t allocs0 = util::buffer_alloc_count();
+  const std::uint64_t bytes0 = util::buffer_bytes_in_use();
+  const DiffusionCoefficients coeffs(kappa);
+  EXPECT_EQ(util::buffer_alloc_count() - allocs0, 3u);
+  EXPECT_EQ(util::buffer_bytes_in_use() - bytes0, 3 * grid_bytes);
 }
 
 TEST(VarCoef, UniformKappaReducesToJacobi) {

@@ -124,7 +124,7 @@ TEST(ModelRanker, OperatorTrafficMatchesTheOperators) {
   using perfmodel::operator_traffic;
   EXPECT_EQ(operator_traffic("jacobi").mem_bytes_nt, 16.0);
   EXPECT_EQ(operator_traffic("jacobi").aux_bytes, 0.0);
-  EXPECT_EQ(operator_traffic("varcoef").aux_bytes, 48.0);
+  EXPECT_EQ(operator_traffic("varcoef").aux_bytes, 24.0);
   EXPECT_EQ(operator_traffic("box27").mem_bytes_nt, 24.0);
   // Each red–black half-sweep still streams the full solution (the
   // other color is copied through), so per carried cell it moves the
