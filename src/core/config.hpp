@@ -1,4 +1,5 @@
-// Tuning parameters of the pipelined temporal blocking scheme.
+// Tuning parameters of the pipelined temporal blocking scheme, and the
+// wavefront method as a preset of it.
 #pragma once
 
 #include <stdexcept>
@@ -73,6 +74,46 @@ struct PipelineConfig {
            "x" + std::to_string(block.bz) + ",dl=" + std::to_string(dl) +
            ",du=" + std::to_string(du) + ",dt=" + std::to_string(dt) + "," +
            to_string(sync) + "," + to_string(scheme) + "]";
+  }
+};
+
+/// The wavefront method of Ref. [2] (Wellein et al., COMPSAC 2009) — the
+/// comparison method — run as a preset of the pipelined scheme.
+///
+/// Where pipelined blocking tiles the domain into cache-sized 3-D blocks,
+/// the wavefront keeps whole xy-planes in flight: thread i updates time
+/// level i+1 at least one block (one plane) behind thread i-1, which the
+/// one-cell-per-level window skew turns into two planes — the spacing
+/// that prevents the write-after-read hazard between levels sharing a
+/// grid parity.  That is a pipeline whose block is one full plane.
+///
+/// Its limitation — the reason the paper's pipelined scheme exists — is
+/// that the working set is a fixed number of *full planes*: 2 grids x
+/// 2t planes must stay cache-resident (more while relaxed neighbours
+/// drift up to d_u planes apart).  For a 600^2 plane that is ~2.9 MiB
+/// per plane and the shared L3 overflows already at t = 2, while
+/// pipelined blocking can always shrink its blocks.  See
+/// perfmodel/wavefront_model.hpp for the capacity analysis and the
+/// wavefront table of bench/paper_figures for the comparison.
+struct WavefrontConfig {
+  int threads = 4;  ///< wavefront depth = time levels per sweep
+
+  void validate() const {
+    if (threads < 1)
+      throw std::invalid_argument("WavefrontConfig: threads < 1");
+  }
+
+  /// The pipeline that runs this wavefront over nx*ny planes: one team
+  /// of `threads`, T = 1, blocks one plane thick and `threads` cells
+  /// wider than the plane in x and y, so the level-skewed windows still
+  /// fit one block per plane.  Default d_l/d_u, relaxed sync, two grids.
+  [[nodiscard]] PipelineConfig pipeline(int nx, int ny) const {
+    PipelineConfig p;
+    p.teams = 1;
+    p.team_size = threads;
+    p.steps_per_thread = 1;
+    p.block = {nx + threads, ny + threads, 1};
+    return p;
   }
 };
 

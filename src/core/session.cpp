@@ -50,7 +50,7 @@ std::string SolverSession::fingerprint(const SolveRequest& req) {
   os << b.threads << ',' << b.block.bx << ',' << b.block.by << ','
      << b.block.bz << ',' << b.nontemporal << ','
      << static_cast<int>(b.placement) << '|';
-  os << c.wavefront.threads << ',' << c.wavefront.by << '|';
+  os << c.wavefront.threads << '|';
   os << c.lbm.omega << ',' << c.lbm.rho0 << ',' << c.lbm.lid_velocity[0]
      << ',' << c.lbm.lid_velocity[1] << ',' << c.lbm.lid_velocity[2] << ','
      << static_cast<int>(c.lbm_storage) << ',' << c.lbm_geometry_from_aux

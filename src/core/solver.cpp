@@ -134,33 +134,26 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
         baseline_ = std::make_unique<BaselineSolver<Op>>(cfg.baseline, nx_,
                                                          ny_, nz_, op);
         break;
-      case Variant::kPipelined: {
-        cfg_.pipeline.validate();
-        if (cfg.pipeline.scheme == GridScheme::kTwoGrid) {
-          pipelined_ = std::make_unique<PipelinedSolver<Op>>(cfg.pipeline,
-                                                             nx_, ny_, nz_,
-                                                             op);
-        } else {
-          compressed_ = std::make_unique<CompressedSolver<Op>>(cfg.pipeline,
-                                                               nx_, ny_,
-                                                               nz_, op);
-        }
-        // Remainder steps (not a multiple of n*t*T) run as baseline
-        // sweeps.
-        BaselineConfig rem = cfg.baseline;
-        rem.threads = cfg.pipeline.total_threads();
-        baseline_ = std::make_unique<BaselineSolver<Op>>(rem, nx_, ny_, nz_,
-                                                         op);
-        break;
-      }
+      case Variant::kPipelined:
       case Variant::kWavefront: {
-        cfg_.wavefront.validate();
-        wavefront_ = std::make_unique<WavefrontSolver<Op>>(cfg.wavefront,
-                                                           nx_, ny_, nz_,
-                                                           op);
-        // Remainder steps (not a multiple of the wavefront depth t).
+        PipelineConfig pipe = cfg.pipeline;
+        if (cfg.variant == Variant::kWavefront) {
+          // The wavefront is the pipeline whose block is a whole plane.
+          cfg.wavefront.validate();
+          pipe = cfg.wavefront.pipeline(nx_, ny_);
+        }
+        pipe.validate();
+        if (pipe.scheme == GridScheme::kTwoGrid) {
+          pipelined_ =
+              std::make_unique<PipelinedSolver<Op>>(pipe, nx_, ny_, nz_, op);
+        } else {
+          compressed_ =
+              std::make_unique<CompressedSolver<Op>>(pipe, nx_, ny_, nz_, op);
+        }
+        // Remainder steps (not a multiple of the sweep depth) run as
+        // baseline sweeps.
         BaselineConfig rem = cfg.baseline;
-        rem.threads = cfg.wavefront.threads;
+        rem.threads = pipe.total_threads();
         baseline_ = std::make_unique<BaselineSolver<Op>>(rem, nx_, ny_, nz_,
                                                          op);
         break;
@@ -281,10 +274,8 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
       compressed_->store(a_);
       return st;
     }
-    const int depth = cfg_.sweep_depth();
-    RunStats st = pipelined_ ? pipelined_->run(a_, b_, sweeps, 0)
-                             : wavefront_->run(a_, b_, sweeps, 0);
-    if ((sweeps * depth) % 2 != 0) std::swap(a_, b_);
+    RunStats st = pipelined_->run(a_, b_, sweeps, 0);
+    if ((sweeps * cfg_.sweep_depth()) % 2 != 0) std::swap(a_, b_);
     return st;
   }
 
@@ -296,7 +287,6 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
   std::unique_ptr<BaselineSolver<Op>> baseline_;
   std::unique_ptr<PipelinedSolver<Op>> pipelined_;
   std::unique_ptr<CompressedSolver<Op>> compressed_;
-  std::unique_ptr<WavefrontSolver<Op>> wavefront_;
 };
 
 namespace {

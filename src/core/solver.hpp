@@ -7,7 +7,8 @@
 // distributed solver build on.  Two orthogonal axes select the algorithm:
 //
 //   Variant  — how the sweeps are scheduled (reference, baseline,
-//              pipelined [two-grid or compressed], wavefront)
+//              pipelined [two-grid or compressed], wavefront [the
+//              two-grid pipeline with one-plane blocks])
 //   Operator — what one cell update computes (constant-coefficient
 //              Jacobi, variable-coefficient diffusion)
 //
@@ -22,7 +23,6 @@
 #include "core/baseline.hpp"
 #include "core/compressed.hpp"
 #include "core/pipeline.hpp"
-#include "core/wavefront.hpp"
 #include "lbm/kernel.hpp"  // LbmConfig (physics parameters of --operator lbm)
 
 namespace tb::lbm {
@@ -36,7 +36,8 @@ enum class Variant {
   kReference,  ///< naive single-threaded sweeps (oracle)
   kBaseline,   ///< standard spatially blocked multi-threaded sweeps
   kPipelined,  ///< pipelined temporal blocking (two-grid or compressed)
-  kWavefront,  ///< plane-wavefront temporal blocking (Ref. [2])
+  kWavefront,  ///< plane-wavefront temporal blocking (Ref. [2]), run as
+               ///< the pipelined preset WavefrontConfig::pipeline()
 };
 
 /// Which stencil operator each cell update applies.

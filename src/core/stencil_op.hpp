@@ -3,9 +3,10 @@
 // The paper's pipelined temporal blocking is not Jacobi-specific: any
 // update whose reads stay within the 3^3 neighborhood of the previous
 // time level fits the skewed block schedule.  A *StencilOp* captures
-// exactly that contract, so the four scheme implementations (baseline,
-// pipelined two-grid, compressed-grid, wavefront) are templates over the
-// operator and a new operator lands as one self-contained struct.
+// exactly that contract, so the three scheme implementations (baseline,
+// pipelined two-grid — which also runs the wavefront preset — and
+// compressed-grid) are templates over the operator and a new operator
+// lands as one self-contained struct.
 //
 // StencilOp concept (compile-time, duck-typed):
 //

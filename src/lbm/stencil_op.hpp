@@ -3,9 +3,9 @@
 // The paper's point is that one temporal-blocking machinery serves both
 // the Jacobi prototype and the announced LBM flow solver.  This header
 // delivers that literally: stream-collide is an operator on the generic
-// scheme templates (BaselineSolver<LbmOp>, PipelinedSolver<LbmOp>,
-// CompressedSolver<LbmOp>, WavefrontSolver<LbmOp>) instead of its own
-// engine client.
+// scheme templates (BaselineSolver<LbmOp>, PipelinedSolver<LbmOp> — also
+// behind the wavefront preset — and CompressedSolver<LbmOp>) instead of
+// its own engine client.
 //
 // Multi-component state.  The schemes move a scalar *carrier* grid pair
 // through their schedules; the 19 particle distributions and the

@@ -1,8 +1,12 @@
 // Capacity model of the wavefront method (Ref. [2]) — used by the
-// comparison bench to show *why* pipelined blocking is the multicore-aware
-// choice: the wavefront working set is a fixed count of full xy-planes and
-// cannot be shrunk, so on large grids it spills the shared cache and the
-// temporal reuse is lost.
+// comparison table of bench/paper_figures and the facade's model row to
+// show *why* pipelined blocking is the multicore-aware choice: the
+// wavefront working set is a fixed count of full xy-planes and cannot be
+// shrunk, so on large grids it spills the shared cache and the temporal
+// reuse is lost.  The executable wavefront is the plane-block pipeline
+// preset of core::WavefrontConfig; this model counts 2t planes per grid,
+// the least that preset keeps in flight (relaxed neighbours may drift
+// further apart).
 #pragma once
 
 #include <cstddef>

@@ -28,7 +28,6 @@ Candidate project_to_probe(Candidate c, const Problem& p, int nx, int ny,
   c.cfg.baseline.block.bx = std::min(c.cfg.baseline.block.bx, nx);
   c.cfg.baseline.block.by = clip_tile(c.cfg.baseline.block.by, iy);
   c.cfg.baseline.block.bz = clip_tile(c.cfg.baseline.block.bz, iz);
-  c.cfg.wavefront.by = clip_tile(c.cfg.wavefront.by, iy);
   // The enumeration decided the streaming-store flag from the FULL
   // problem's working set, but the probe grid is usually cache-resident,
   // where NT stores only lose; measurement and deployment must each

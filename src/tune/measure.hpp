@@ -34,8 +34,9 @@ struct ProbeOptions {
 
 /// Projects a full-problem candidate onto a probe grid of extents
 /// (nx, ny, nz): clips bx to the row length, every (j, k) tile — block
-/// by/bz of both schedules and the wavefront's by — to the probe
-/// interior, and re-applies the nontemporal_pays() criterion of
+/// by/bz of the pipelined and the baseline schedule — to the probe
+/// interior (the wavefront sizes its plane blocks from the grid it
+/// runs on), and re-applies the nontemporal_pays() criterion of
 /// search_space.hpp at probe size.  Pure function; exposed for the
 /// regression tests.
 [[nodiscard]] Candidate project_to_probe(Candidate c, const Problem& p,

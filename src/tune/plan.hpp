@@ -92,7 +92,7 @@ struct Candidate {
                ",du=" + std::to_string(cfg.pipeline.du) + "]";
       case core::Variant::kWavefront:
         return variant_tag + "[t=" + std::to_string(cfg.wavefront.threads) +
-               ",by=" + std::to_string(cfg.wavefront.by) + "]";
+               "]";
       case core::Variant::kBaseline:
         return variant_tag +
                "[threads=" + std::to_string(cfg.baseline.threads) +

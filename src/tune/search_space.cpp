@@ -174,21 +174,14 @@ std::vector<Candidate> enumerate_candidates(
       // Depth-1 wavefronts are dominated by the baseline, except on a
       // single-core machine where they are the only wavefront there is.
       if (th < 2 && cores > 1) continue;
-      int prev_by = 0;
-      for (int by : {8, 16}) {
-        const int clipped = std::max(1, std::min(by, p.ny - 2));
-        if (clipped == prev_by) continue;  // both clip to ny-2: dedup
-        prev_by = clipped;
-        Candidate c;
-        c.variant = "wavefront";
-        c.cfg.variant = core::Variant::kWavefront;
-        c.cfg.wavefront.threads = th;
-        c.cfg.wavefront.by = clipped;
-        c.cfg.baseline.threads = th;  // remainder fallback
-        c.cfg.baseline.nontemporal =
-            nontemporal_pays(p.op, p.nx, p.ny, p.nz, machine);
-        emit(c);
-      }
+      Candidate c;
+      c.variant = "wavefront";
+      c.cfg.variant = core::Variant::kWavefront;
+      c.cfg.wavefront.threads = th;
+      c.cfg.baseline.threads = th;  // remainder fallback
+      c.cfg.baseline.nontemporal =
+          nontemporal_pays(p.op, p.nx, p.ny, p.nz, machine);
+      emit(c);
     }
   }
 

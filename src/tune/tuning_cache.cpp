@@ -49,7 +49,6 @@ void for_each_field(E& e, F&& f) {
   f("bl_bz", e.plan.cfg.baseline.block.bz);
   f("nontemporal", e.plan.cfg.baseline.nontemporal);
   f("wf_threads", e.plan.cfg.wavefront.threads);
-  f("wf_by", e.plan.cfg.wavefront.by);
   f("lbm_aa", e.plan.cfg.lbm_storage);
   f("lbm_prefetch", e.plan.cfg.lbm_prefetch);
   f("predicted_mlups", e.plan.predicted_mlups);
@@ -106,7 +105,8 @@ std::size_t TuningCache::load() {
   for (const json::Value& o : list->as_array()) {
     // A wrong-typed, out-of-range or inadmissible entry is dropped alone;
     // a corrupt entry may never become a hit that then throws inside
-    // solver construction.  Absent fields keep their defaults.
+    // solver construction.  Absent fields keep their defaults; keys no
+    // field reads (a retired axis such as "wf_by") are ignored.
     Entry e;
     try {
       for_each_field(e, [&o](const char* key, auto& field) {

@@ -254,7 +254,6 @@ TEST(SolverSession, PoolKeySeparatesEveryConfigField) {
            }},
           {"wavefront.threads",
            [](SolverConfig& c) { c.wavefront.threads = 2; }},
-          {"wavefront.by", [](SolverConfig& c) { c.wavefront.by = 8; }},
           {"omega",
            [](SolverConfig& c) {
              c.lbm.omega = std::nextafter(c.lbm.omega, 3.0);

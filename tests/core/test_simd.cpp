@@ -227,7 +227,6 @@ TEST_P(SimdSweep, BitIdenticalWithStreamingStoresAndPrefetch) {
   cfg.pipeline.steps_per_thread = 2;  // depth 4
   cfg.pipeline.block = {6, 5, 4};
   cfg.wavefront.threads = 3;          // depth 3
-  cfg.wavefront.by = 4;
   cfg.lbm_prefetch = 16;  // engage the software-prefetch pull
 
   // 7 steps: not a multiple of either blocked depth, so the remainder

@@ -79,7 +79,6 @@ TEST_P(StencilMatrix, BitIdenticalToReference) {
   cfg.pipeline.steps_per_thread = 2;  // depth 4
   cfg.pipeline.block = {6, 5, 4};
   cfg.wavefront.threads = 3;          // depth 3
-  cfg.wavefront.by = 4;
 
   StencilSolver solver = make_solver(c.variant, c.op, cfg, initial, &kappa);
   solver.advance(c.steps);

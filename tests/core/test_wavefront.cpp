@@ -1,9 +1,11 @@
-// Tests of the wavefront comparator (Ref. [2]).
+// Tests of the wavefront comparator (Ref. [2]): the plane-block preset of
+// the pipelined scheme, driven through the registry facade.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "support/grid_test_utils.hpp"
-#include "core/reference.hpp"
-#include "core/wavefront.hpp"
+#include "core/registry.hpp"
 #include "perfmodel/wavefront_model.hpp"
 
 namespace tb::core {
@@ -13,9 +15,13 @@ using tb::test::make_initial;
 
 struct WaveCase {
   int threads;
-  int by;
   std::array<int, 3> grid;
   int sweeps;
+
+  friend std::ostream& operator<<(std::ostream& os, const WaveCase& c) {
+    return os << "t" << c.threads << "_g" << c.grid[0] << "x" << c.grid[1]
+              << "x" << c.grid[2] << "_s" << c.sweeps;
+  }
 };
 
 class Wavefront : public ::testing::TestWithParam<WaveCase> {};
@@ -23,44 +29,51 @@ class Wavefront : public ::testing::TestWithParam<WaveCase> {};
 TEST_P(Wavefront, BitIdenticalToReference) {
   const WaveCase c = GetParam();
   const Grid3 initial = make_initial(c.grid[0], c.grid[1], c.grid[2]);
-  Grid3 a = initial.clone(), b = initial.clone();
-  Grid3 ra = initial.clone(), rb = initial.clone();
 
-  WavefrontConfig cfg;
-  cfg.threads = c.threads;
-  cfg.by = c.by;
-  WavefrontJacobi solver(cfg, c.grid[0], c.grid[1], c.grid[2]);
-  solver.run(a, b, c.sweeps);
-  Grid3& got = solver.result(a, b, c.sweeps);
-  Grid3& want = reference_solve(ra, rb, c.sweeps * c.threads);
-  EXPECT_EQ(max_abs_diff(got, want), 0.0);
+  SolverConfig cfg;
+  cfg.wavefront.threads = c.threads;
+  StencilSolver solver = make_solver("wavefront", "jacobi", cfg, initial);
+  solver.advance(c.sweeps * c.threads);
+  EXPECT_EQ(max_abs_diff(solver.solution(),
+                         tb::test::reference_result(initial,
+                                                    c.sweeps * c.threads)),
+            0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, Wavefront,
-    ::testing::Values(WaveCase{1, 4, {12, 12, 12}, 3},
-                      WaveCase{2, 4, {14, 12, 16}, 2},
-                      WaveCase{3, 2, {16, 10, 18}, 2},
-                      WaveCase{4, 16, {12, 18, 20}, 1},
+    ::testing::Values(WaveCase{1, {12, 12, 12}, 3},
+                      WaveCase{2, {14, 12, 16}, 2},
+                      WaveCase{3, {16, 10, 18}, 2},
+                      WaveCase{4, {12, 18, 20}, 1},
                       // Wave deeper than the plane count: heavy clipping.
-                      WaveCase{6, 4, {10, 10, 6}, 2},
-                      WaveCase{2, 100, {12, 12, 12}, 2}));
+                      WaveCase{6, {10, 10, 6}, 2},
+                      WaveCase{2, {12, 12, 12}, 2}));
 
 TEST(Wavefront, RejectsBadConfig) {
-  WavefrontConfig cfg;
-  cfg.threads = 0;
-  EXPECT_THROW(WavefrontJacobi(cfg, 8, 8, 8), std::invalid_argument);
+  const Grid3 initial = make_initial(8, 8, 8);
+  SolverConfig cfg;
+  cfg.wavefront.threads = 0;
+  EXPECT_THROW(make_solver("wavefront", "jacobi", cfg, initial),
+               std::invalid_argument);
 }
 
-TEST(Wavefront, WorkingSetGrowsWithDepthAndPlane) {
-  WavefrontConfig cfg;
-  cfg.threads = 2;
-  const WavefrontJacobi small(cfg, 64, 64, 64);
-  cfg.threads = 4;
-  const WavefrontJacobi deep(cfg, 64, 64, 64);
-  const WavefrontJacobi wide(cfg, 128, 128, 64);
-  EXPECT_GT(deep.working_set_bytes(), small.working_set_bytes());
-  EXPECT_GT(wide.working_set_bytes(), deep.working_set_bytes());
+TEST(Wavefront, PresetKeepsOneBlockPerPlane) {
+  // The preset's blocks must cover every level-skewed window of a plane,
+  // or the pipeline tiles the plane and stops being a wavefront.
+  for (int t : {1, 4, 6}) {
+    for (const std::array<int, 3>& g :
+         {std::array<int, 3>{10, 10, 6}, std::array<int, 3>{17, 33, 9}}) {
+      WavefrontConfig wf;
+      wf.threads = t;
+      const PipelineConfig preset = wf.pipeline(g[0], g[1]);
+      const BlockPlan plan(preset.block,
+                           interior_clips(g[0], g[1], g[2], t));
+      EXPECT_EQ(plan.nb(0), 1) << "t=" << t;
+      EXPECT_EQ(plan.nb(1), 1) << "t=" << t;
+      EXPECT_EQ(preset.levels_per_sweep(), t);
+    }
+  }
 }
 
 TEST(WavefrontModel, CapacityCrossover) {

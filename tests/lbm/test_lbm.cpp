@@ -233,7 +233,6 @@ TEST_P(LbmEquivalence, SchemeMatchesNaiveOracle) {
   cfg.baseline.threads = c.teams * c.t;
   cfg.baseline.block = {6, 5, 4};
   cfg.wavefront.threads = 3;
-  cfg.wavefront.by = 4;
 
   core::StencilSolver solver =
       core::make_solver(c.variant, "lbm", cfg, initial, &codes);

@@ -65,7 +65,6 @@ TEST(TuningCache, RoundTripsPlansFieldExact) {
     wf.variant = "wavefront";
     core::apply_variant(wf.cfg, "wavefront");
     wf.cfg.wavefront.threads = 3;
-    wf.cfg.wavefront.by = 8;
     wf.measured_mlups = 99.5;
     cache.put(cube(48, "varcoef"), wf);
     // A bare-"lbm" problem whose winning schedule carries the AA
@@ -159,6 +158,8 @@ std::uint64_t invalidations() {
 // Version-1 caches already on disk have this exact layout (three lines
 // per entry, precision-17 doubles, 0/1 flags, an escaped quote in the
 // signature); the format is unchanged, so they must load field-exact.
+// Their "wf_by" (a retired wavefront knob) is ignored on load and no
+// longer written.
 TEST(TuningCache, LoadsTheVersionOneGoldenFile) {
   const std::string path = temp_path("golden");
   {
@@ -210,7 +211,6 @@ TEST(TuningCache, LoadsTheVersionOneGoldenFile) {
   EXPECT_EQ(bl.block.bz, 11);
   EXPECT_FALSE(bl.nontemporal);
   EXPECT_EQ(hit->cfg.wavefront.threads, 4);
-  EXPECT_EQ(hit->cfg.wavefront.by, 5);
   EXPECT_EQ(hit->cfg.lbm_storage, lbm::LbmStorage::kAA);
   EXPECT_EQ(hit->cfg.lbm_prefetch, 3);
   EXPECT_EQ(hit->predicted_mlups, 0.1);  // bit-exact
@@ -225,6 +225,7 @@ TEST(TuningCache, LoadsTheVersionOneGoldenFile) {
 
   // And what save() writes back loads to the same plans.
   ASSERT_TRUE(cache.save());
+  EXPECT_EQ(read_text(path).find("wf_by"), std::string::npos);
   TuningCache again(path, cache.signature());
   ASSERT_EQ(again.load(), 2u);
   EXPECT_EQ(again.find(key)->cfg.pipeline.describe(), pl.describe());

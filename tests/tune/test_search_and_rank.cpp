@@ -308,18 +308,17 @@ TEST(Measure, ProbesReportPositiveThroughput) {
 TEST(Measure, ProjectsFullProblemSchedulesOntoTheProbeGrid) {
   // Regression: candidates enumerated for a 200^3 problem carry (j, k)
   // tiles up to 32 and streaming stores; a 16^3 probe (interior 14) must
-  // clip EVERY extent — by/bz of both schedules and the wavefront's by,
-  // not just bx — and re-derive the NT flag for the (cache-resident)
-  // probe grid, or the probe times a different schedule shape than the
-  // candidate being ranked.
+  // clip EVERY extent — by/bz of both schedules, not just bx — and
+  // re-derive the NT flag for the (cache-resident) probe grid, or the
+  // probe times a different schedule shape than the candidate being
+  // ranked.
   const topo::MachineSpec m = topo::nehalem_ep();
   const Problem p = cube(200);
-  bool saw_wide_tile = false, saw_nt = false, saw_wavefront = false;
+  bool saw_wide_tile = false, saw_nt = false;
   for (const Candidate& c : enumerate_candidates(p, m)) {
     saw_wide_tile = saw_wide_tile || c.cfg.pipeline.block.by > 14 ||
                     c.cfg.baseline.block.by > 14;
     saw_nt = saw_nt || c.cfg.baseline.nontemporal;
-    saw_wavefront = saw_wavefront || c.variant == "wavefront";
 
     const Candidate probe = project_to_probe(c, p, 16, 16, 16, m);
     EXPECT_LE(probe.cfg.pipeline.block.by, 14) << c.describe();
@@ -327,7 +326,6 @@ TEST(Measure, ProjectsFullProblemSchedulesOntoTheProbeGrid) {
     EXPECT_LE(probe.cfg.pipeline.block.bx, 16) << c.describe();
     EXPECT_LE(probe.cfg.baseline.block.by, 14) << c.describe();
     EXPECT_LE(probe.cfg.baseline.block.bz, 14) << c.describe();
-    EXPECT_LE(probe.cfg.wavefront.by, 14) << c.describe();
     if (c.cfg.variant == core::Variant::kBaseline) {
       EXPECT_FALSE(probe.cfg.baseline.nontemporal)
           << "Sec. 1.1: NT stores lose on a cache-resident probe grid — "
@@ -338,7 +336,6 @@ TEST(Measure, ProjectsFullProblemSchedulesOntoTheProbeGrid) {
   // probe had to clip.
   EXPECT_TRUE(saw_wide_tile);
   EXPECT_TRUE(saw_nt);
-  EXPECT_TRUE(saw_wavefront);
 }
 
 TEST(Measure, SmallProbeRunsEveryVariantOfABigProblem) {
