@@ -11,10 +11,30 @@
 // and the center temperature.  With --scenario the flags are ignored and
 // the whole JSON case batch runs through the scenario engine instead.
 #include <cstdio>
+#include <string>
 
 #include "core/registry.hpp"
 #include "scenario/scenario_engine.hpp"
 #include "util/args.hpp"
+
+namespace {
+
+/// The schedule a solver of `cfg` runs on an n^2 plane: the wavefront's
+/// plane-block preset, the pipeline for pipelined and compressed, the
+/// thread count of the untiled sweeps.
+std::string schedule(const tb::core::SolverConfig& cfg, int n) {
+  switch (cfg.variant) {
+    case tb::core::Variant::kPipelined: return cfg.pipeline.describe();
+    case tb::core::Variant::kWavefront:
+      return cfg.wavefront.pipeline(n, n).describe();
+    case tb::core::Variant::kBaseline:
+      return "threads=" + std::to_string(cfg.baseline.threads);
+    case tb::core::Variant::kReference: return "threads=1";
+  }
+  return "?";
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const tb::util::Args args(argc, argv);
@@ -61,7 +81,7 @@ int main(int argc, char** argv) {
   const tb::core::Grid3& u = solver.solution();
   std::printf("grid %d^3, %d sweeps with %s/%s (%s)\n", n, steps,
               tb::core::variant_name(used).c_str(), to_string(used.op),
-              used.pipeline.describe().c_str());
+              schedule(used, n).c_str());
   std::printf("wall time      : %.3f s\n", stats.seconds);
   std::printf("performance    : %.1f MLUP/s (host)\n", stats.mlups());
   std::printf("center value   : %.6f\n", u.at(n / 2, n / 2, n / 2));

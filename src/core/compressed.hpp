@@ -39,11 +39,17 @@ namespace tb::core {
 
 /// Single-grid (compressed) pipelined solver, templated on the StencilOp.
 ///
+/// The array is the solver's state: load once, then run repeatedly.
+/// Consecutive run() calls continue where the last one stopped (an odd
+/// sweep count leaves margin 0, so the next call starts with a backward
+/// sweep), and row() reads the current level in place.
+///
 /// Usage:
 ///   CompressedSolver<JacobiOp> solver(cfg, nx, ny, nz);
 ///   solver.load(initial);       // level-0 data incl. boundary
-///   RunStats st = solver.run(sweeps);
-///   solver.store(result_out);   // final level
+///   solver.run(sweeps);         // as often as needed
+///   solver.row(j, k)[i];        // current level, no copy
+///   solver.store(result_out);   // copy of the current level, on demand
 template <class Op>
 class CompressedSolver {
  public:
@@ -74,11 +80,13 @@ class CompressedSolver {
     if (initial.nx() != nx_ || initial.ny() != ny_ || initial.nz() != nz_)
       throw std::invalid_argument("CompressedSolver::load: shape mismatch");
     margin_ = shift_span_;
-    levels_done_ = 0;
     copy_window(initial, 0, store_, margin_);
   }
 
-  /// Runs `sweeps` team sweeps (alternating shift directions).
+  /// Runs `sweeps` team sweeps (alternating shift directions).  The
+  /// operator sees levels counted from the start of this call (see the
+  /// StencilOp contract); a time-dependent operator's LevelOrigin adds
+  /// the absolute base.
   RunStats run(int sweeps) {
     RunStats stats;
     const bool tel = obs::enabled();
@@ -92,9 +100,7 @@ class CompressedSolver {
       obs::Span span("compressed.sweep", "core");
       const bool forward = (margin_ == shift_span_);
       const int m_start = margin_;
-      // Run-local level for the operator: levels_done_ counts the levels
-      // of previous run() calls since load() plus this run's sweeps.
-      const int sweep_base = levels_done_;
+      const int sweep_base = sweep * levels_per_sweep;
       engine_.run_sweep(forward,
                         [&](int /*thread*/, int level, const Box& w) {
                           process_window(level, sweep_base + level, w,
@@ -102,7 +108,6 @@ class CompressedSolver {
                         });
       margin_ = forward ? m_start - levels_per_sweep
                         : m_start + levels_per_sweep;
-      levels_done_ += levels_per_sweep;
     }
     stats.seconds = timer.elapsed();
     stats.levels = sweeps * levels_per_sweep;
@@ -124,9 +129,14 @@ class CompressedSolver {
     copy_window(store_, margin_, out, 0);
   }
 
+  /// Row (j, k) of the current level: element i is cell (i, j, k).
+  /// Valid until the next load() or run().
+  [[nodiscard]] const double* row(int j, int k) const {
+    return store_.row(j + margin_, k + margin_) + margin_;
+  }
+
   /// Current data offset: cell (i,j,k) lives at array (i+m, j+m, k+m).
   [[nodiscard]] int margin() const { return margin_; }
-  [[nodiscard]] int levels_done() const { return levels_done_; }
   [[nodiscard]] const PipelineConfig& config() const {
     return engine_.config();
   }
@@ -225,7 +235,6 @@ class CompressedSolver {
   int shift_span_;  ///< S = levels per sweep = maximum drift
   Grid3 store_;
   int margin_;      ///< current offset of cell (0,0,0) in the array
-  int levels_done_ = 0;
   PipelineEngine engine_;
 };
 

@@ -107,13 +107,22 @@ struct StencilSolver::Impl {
   /// Rewinds to level 0 with new initial data (and optionally a new aux
   /// field) without reallocating anything; see StencilSolver::reset.
   virtual void reset(const Grid3& initial, const Grid3* aux) = 0;
-  [[nodiscard]] virtual const Grid3& solution() const = 0;
+  /// The current level as a grid.  Not const: a compressed solver copies
+  /// its store out on demand (see StencilSolver::solution).
+  [[nodiscard]] virtual const Grid3& solution() = 0;
+  [[nodiscard]] virtual const double* row(int j, int k) const = 0;
   [[nodiscard]] virtual const lbm::LbmState* lbm_state() const = 0;
 };
 
 /// The whole advance state machine, instantiated per operator.  Only the
 /// facade-level dispatch is virtual; the hot loops live in the templated
 /// scheme classes and stay inlined.
+///
+/// Two-grid variants keep the current level in a_ and the other parity
+/// in b_.  A compressed solver's state is its store: a_ exists only
+/// once solution() or a baseline remainder phase has asked for it, b_
+/// only once a remainder phase has run, and the two flags below say
+/// which of store and a_ hold the current level.
 template <class Op>
 struct StencilSolver::OpImpl final : StencilSolver::Impl {
   OpImpl(const SolverConfig& cfg, const Grid3& initial, OpState<Op> state)
@@ -121,11 +130,7 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
         state_(std::move(state)),
         nx_(initial.nx()),
         ny_(initial.ny()),
-        nz_(initial.nz()),
-        a_(nx_, ny_, nz_),
-        b_(nx_, ny_, nz_) {
-    write_initial(initial);
-
+        nz_(initial.nz()) {
     const Op op = state_.make();
     switch (cfg.variant) {
       case Variant::kReference:
@@ -159,6 +164,11 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
         break;
       }
     }
+    if (!compressed_) {
+      a_ = Grid3(nx_, ny_, nz_);
+      b_ = Grid3(nx_, ny_, nz_);
+    }
+    write_initial(initial);
   }
 
   RunStats advance(int steps, int base) override {
@@ -217,34 +227,93 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
     write_initial(initial);
   }
 
-  /// The current level lives in a_ by invariant: every path below swaps
-  /// the grids back when it ends on an odd parity.
-  [[nodiscard]] const Grid3& solution() const override { return a_; }
+  /// Every two-grid path swaps the grids back when it ends on an odd
+  /// parity, so the current level lives in a_; a compressed solver
+  /// copies its store there first when a_ is stale.
+  [[nodiscard]] const Grid3& solution() override {
+    materialize();
+    return a_;
+  }
+
+  [[nodiscard]] const double* row(int j, int k) const override {
+    return store_current_ ? compressed_->row(j, k) : a_.row(j, k);
+  }
 
   [[nodiscard]] const lbm::LbmState* lbm_state() const override {
     return state_.lbm();
   }
 
  private:
-  /// Writes `initial` into both parities — the boundary values must
-  /// exist in both — in one parallel pass.  At construction that pass is
-  /// the pages' first touch: the temporally blocked variants defeat
-  /// first-touch locality (every thread sweeps through every block or
-  /// plane), so they interleave round-robin, while the baseline keeps
-  /// classic first-touch (Sec. 1.3).  On reset the pages are mapped
-  /// already and keep that placement.  Row padding ends up zero.
-  void write_initial(const Grid3& initial) {
+  /// Threads of the configured schedule: the set-up passes run on as
+  /// many.
+  [[nodiscard]] int threads() const {
+    return cfg_.variant == Variant::kPipelined ? cfg_.pipeline.total_threads()
+           : cfg_.variant == Variant::kWavefront ? cfg_.wavefront.threads
+                                                 : cfg_.baseline.threads;
+  }
+
+  /// Page placement of the set-up passes: the temporally blocked
+  /// variants defeat first-touch locality (every thread sweeps through
+  /// every block or plane), so they interleave round-robin, while the
+  /// baseline keeps classic first-touch (Sec. 1.3).
+  [[nodiscard]] topo::PagePlacement placement() const {
     const bool spread = cfg_.variant == Variant::kPipelined ||
                         cfg_.variant == Variant::kWavefront;
-    const topo::PagePlacement placement =
-        spread ? topo::PagePlacement::kRoundRobin : cfg_.baseline.placement;
-    const int threads =
-        cfg_.variant == Variant::kPipelined ? cfg_.pipeline.total_threads()
-        : cfg_.variant == Variant::kWavefront ? cfg_.wavefront.threads
-                                              : cfg_.baseline.threads;
-    topo::touch_pages({a_.data(), b_.data()}, a_.size(), placement, threads,
-                      {initial.data(), static_cast<std::size_t>(nx_),
-                       static_cast<std::size_t>(a_.stride_x())});
+    return spread ? topo::PagePlacement::kRoundRobin
+                  : cfg_.baseline.placement;
+  }
+
+  /// The rows of `g` as a touch_pages source.
+  [[nodiscard]] static topo::PageSource rows_of(const Grid3& g) {
+    return {g.data(), static_cast<std::size_t>(g.nx()),
+            static_cast<std::size_t>(g.stride_x())};
+  }
+
+  /// Two-grid variants: writes `initial` into both parities — the
+  /// boundary values must exist in both — in one parallel pass.  At
+  /// construction that pass is the pages' first touch; on reset the
+  /// pages are mapped already and keep that placement.  Row padding
+  /// ends up zero.  A compressed solver loads `initial` into its store
+  /// (zeroed under the same placement at construction), which then
+  /// holds the only current copy.  Its b_, once a remainder phase has
+  /// allocated it, takes the new boundary values too: the next
+  /// remainder phase reads them there.
+  void write_initial(const Grid3& initial) {
+    if (!compressed_) {
+      topo::touch_pages({a_.data(), b_.data()}, a_.size(), placement(),
+                        threads(), rows_of(initial));
+      return;
+    }
+    compressed_->load(initial);
+    store_current_ = true;
+    grid_current_ = false;
+    if (b_.size() != 0)
+      topo::touch_pages({b_.data()}, b_.size(), placement(), threads(),
+                        rows_of(initial));
+  }
+
+  /// Compressed only: copies the store's current level into a_ when a_
+  /// is stale, allocating a_ on first use (first touch under the
+  /// solver's placement, zero padding).
+  void materialize() {
+    if (grid_current_) return;
+    if (a_.size() == 0) {
+      a_ = Grid3(nx_, ny_, nz_);
+      topo::touch_pages({a_.data()}, a_.size(), placement(), threads());
+    }
+    compressed_->store(a_);
+    grid_current_ = true;
+  }
+
+  /// Compressed only: a remainder phase runs the baseline on a_ and b_.
+  /// b_ is allocated at the first one and copies a_ whole, boundary
+  /// values included.
+  void prepare_remainder() {
+    materialize();
+    if (b_.size() != 0) return;
+    b_ = Grid3(nx_, ny_, nz_);
+    topo::touch_pages({b_.data()}, b_.size(), placement(), threads(),
+                      rows_of(a_));
   }
 
   static void accumulate(RunStats& total, const RunStats& st) {
@@ -259,20 +328,26 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
   /// the LevelOrigin turns them back into absolute levels for
   /// time-dependent operators.
   RunStats advance_baseline_steps(int steps, int base) {
+    if (compressed_) {
+      prepare_remainder();
+      store_current_ = false;
+    }
     state_.set_level_base(base);
     RunStats st = baseline_->run(a_, b_, steps, 0);
     if (steps % 2 != 0) std::swap(a_, b_);
     return st;
   }
 
-  /// Whole team sweeps of the configured temporally blocked scheme.
+  /// Whole team sweeps of the configured temporally blocked scheme.  The
+  /// compressed store continues from the level it holds; only after a
+  /// remainder phase does it reload a_.
   RunStats advance_blocked_sweeps(int sweeps, int base) {
     state_.set_level_base(base);
     if (compressed_) {
-      compressed_->load(a_);
-      RunStats st = compressed_->run(sweeps);
-      compressed_->store(a_);
-      return st;
+      if (!store_current_) compressed_->load(a_);
+      store_current_ = true;
+      grid_current_ = false;
+      return compressed_->run(sweeps);
     }
     RunStats st = pipelined_->run(a_, b_, sweeps, 0);
     if ((sweeps * cfg_.sweep_depth()) % 2 != 0) std::swap(a_, b_);
@@ -283,6 +358,8 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
   OpState<Op> state_;
   int nx_, ny_, nz_;
   Grid3 a_, b_;
+  bool store_current_ = false;  ///< compressed: the store holds the level
+  bool grid_current_ = true;    ///< a_ holds the current level
 
   std::unique_ptr<BaselineSolver<Op>> baseline_;
   std::unique_ptr<PipelinedSolver<Op>> pipelined_;
@@ -387,6 +464,10 @@ RunStats StencilSolver::advance(int steps) {
 }
 
 const Grid3& StencilSolver::solution() const { return impl_->solution(); }
+
+const double* StencilSolver::row(int j, int k) const {
+  return impl_->row(j, k);
+}
 
 const lbm::LbmState* StencilSolver::lbm_state() const {
   return impl_->lbm_state();

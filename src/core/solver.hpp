@@ -4,7 +4,10 @@
 // StencilSolver hides the grid bookkeeping (parities, compressed margins,
 // remainder steps that are not a multiple of the team-sweep depth) behind
 // a single run-to-N-steps call, which is what the examples and the
-// distributed solver build on.  Two orthogonal axes select the algorithm:
+// distributed solver build on.  A two-grid solver holds the grid pair; a
+// compressed one holds only its (n+S)^3 store, which stays resident
+// across advance() calls and is copied out to a grid only on request.
+// Two orthogonal axes select the algorithm:
 //
 //   Variant  — how the sweeps are scheduled (reference, baseline,
 //              pipelined [two-grid or compressed], wavefront [the
@@ -188,11 +191,22 @@ class StencilSolver {
   /// aux field ignore `kappa`, mirroring the two-argument constructor.
   void reset(const Grid3& initial, const Grid3& kappa);
 
-  /// Read-only view of the current solution.  No copy: the facade
-  /// maintains the invariant that the current level always lives in its
-  /// primary grid (parity swaps after odd step counts, compressed margins
-  /// stored back), so the reference stays valid until the next advance().
+  /// Read-only view of the current solution, valid until the next
+  /// advance() or reset().  Two-grid variants return their primary grid
+  /// (parity swaps after odd step counts keep the current level there),
+  /// no copy.  A compressed solver copies its store into a grid the
+  /// first time solution() is called after an advance, allocating that
+  /// grid on first use: this const accessor writes solver state, so it
+  /// must not race with any other call on the same solver.  Readers
+  /// that only need the values should use row().
   [[nodiscard]] const Grid3& solution() const;
+
+  /// Row (j, k) of the current level, read in place: element i is cell
+  /// (i, j, k) for i in [0, nx).  The primary grid's row for the
+  /// two-grid variants, the store's row at its current margin for a
+  /// compressed solver.  Never copies or allocates; valid until the next
+  /// advance() or reset().
+  [[nodiscard]] const double* row(int j, int k) const;
 
   [[nodiscard]] int levels_done() const { return levels_done_; }
   [[nodiscard]] const SolverConfig& config() const { return cfg_; }

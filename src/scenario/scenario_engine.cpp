@@ -34,14 +34,20 @@ core::SolverConfig config_for(const CaseSpec& spec) {
   return cfg;
 }
 
-/// Mean over the nx*ny*nz cells; row padding is neither summed nor
-/// counted.
-double solution_mean(const core::Grid3& g) {
+/// Mean of the solver's current level over the nx*ny*nz cells of
+/// `shape`, summed serially in k, j, i order; row padding is neither
+/// summed nor counted.  Reads the rows in place, so a compressed solver
+/// never copies its store out to a grid.
+double solution_mean(const core::StencilSolver& solver,
+                     const core::Grid3& shape) {
+  const int nx = shape.nx(), ny = shape.ny(), nz = shape.nz();
   double sum = 0.0;
-  for (int k = 0; k < g.nz(); ++k)
-    for (int j = 0; j < g.ny(); ++j)
-      for (int i = 0; i < g.nx(); ++i) sum += g.at(i, j, k);
-  return sum / (static_cast<double>(g.nx()) * g.ny() * g.nz());
+  for (int k = 0; k < nz; ++k)
+    for (int j = 0; j < ny; ++j) {
+      const double* row = solver.row(j, k);
+      for (int i = 0; i < nx; ++i) sum += row[i];
+    }
+  return sum / (static_cast<double>(nx) * ny * nz);
 }
 
 }  // namespace
@@ -75,7 +81,7 @@ CaseResult ScenarioEngine::run_case(const CaseSpec& spec) {
   out.reused = solved.reused;
   if (solved.solver != nullptr) {
     out.resolved_variant = core::variant_name(solved.solver->config());
-    out.mean = solution_mean(solved.solver->solution());
+    out.mean = solution_mean(*solved.solver, initial);
   }
 
   if (obs::enabled() && solved.solver != nullptr) {

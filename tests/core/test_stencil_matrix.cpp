@@ -9,6 +9,8 @@
 //   facade).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <ostream>
 #include <string>
 
@@ -16,6 +18,7 @@
 #include "core/stencil_op.hpp"
 #include "lbm/stencil_op.hpp"
 #include "support/grid_test_utils.hpp"
+#include "util/aligned_buffer.hpp"
 
 namespace tb::core {
 namespace {
@@ -249,24 +252,170 @@ TEST(RedBlack, TwoLevelsAreOneGaussSeidelIteration) {
 TEST(RedBlack, ColorPhaseSurvivesChainedAdvances) {
   // 3 then 5 steps must equal 8 straight steps: the facade's LevelOrigin
   // keeps the color alternation absolute across advance() calls and the
-  // temporally blocked variants' remainder phases.
+  // temporally blocked variants' remainder phases — also when the
+  // compressed store stays resident between the calls.
   const Grid3 initial = make_initial(12, 10, 11);
   SolverConfig cfg;
   cfg.pipeline.teams = 1;
   cfg.pipeline.team_size = 2;
   cfg.pipeline.steps_per_thread = 2;
   cfg.pipeline.block = {5, 4, 4};
-  StencilSolver once = make_solver("pipelined", "redblack", cfg, initial);
-  once.advance(8);
-  StencilSolver stepwise = make_solver("pipelined", "redblack", cfg,
-                                       initial);
-  stepwise.advance(3);  // 3 remainder levels
-  stepwise.advance(5);  // 1 sweep + 1 remainder
-  EXPECT_EQ(max_abs_diff(once.solution(), stepwise.solution()), 0.0);
-  EXPECT_EQ(max_abs_diff(once.solution(),
-                         reference_result_op("redblack", initial, initial,
-                                             8)),
-            0.0);
+  for (const char* variant : {"pipelined", "compressed"}) {
+    SCOPED_TRACE(variant);
+    StencilSolver once = make_solver(variant, "redblack", cfg, initial);
+    once.advance(8);
+    StencilSolver stepwise = make_solver(variant, "redblack", cfg, initial);
+    stepwise.advance(3);  // 3 remainder levels
+    stepwise.advance(5);  // 1 sweep + 1 remainder
+    EXPECT_EQ(max_abs_diff(once.solution(), stepwise.solution()), 0.0);
+    EXPECT_EQ(max_abs_diff(once.solution(),
+                           reference_result_op("redblack", initial, initial,
+                                               8)),
+              0.0);
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Bitwise comparison of the solver's current level, read through
+/// row(), against `want`.
+void expect_rows_bitwise_equal(const StencilSolver& solver,
+                               const Grid3& want) {
+  for (int k = 0; k < want.nz(); ++k)
+    for (int j = 0; j < want.ny(); ++j) {
+      const double* row = solver.row(j, k);
+      for (int i = 0; i < want.nx(); ++i)
+        ASSERT_TRUE(same_bits(row[i], want.at(i, j, k)))
+            << "at (" << i << "," << j << "," << k << ")";
+    }
+}
+
+/// Depth S = 4 (one team of two threads, T = 2) on a non-cubic grid.
+SolverConfig chained_config() {
+  SolverConfig cfg;
+  cfg.pipeline.teams = 1;
+  cfg.pipeline.team_size = 2;
+  cfg.pipeline.steps_per_thread = 2;
+  cfg.pipeline.block = {5, 4, 4};
+  return cfg;
+}
+
+class CompressedChained : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CompressedChained, ResidentStoreMatchesReference) {
+  // The compressed store is the solver's state across advance() calls.
+  // Remainder-only, sweep-plus-remainder and whole-sweep calls (the
+  // latter alternating sweep directions from call to call), read through
+  // both solution() and row(), with a reset to different data in the
+  // middle, must all match the naive reference bit for bit.
+  const std::string op = GetParam();
+  const Grid3 initial = make_initial(12, 10, 11);
+  Grid3 other(12, 10, 11);
+  fill_test_pattern(other, 0.5);  // other boundary values too
+  const SolverConfig cfg = chained_config();
+  ASSERT_EQ(cfg.pipeline.levels_per_sweep(), 4);
+  StencilSolver solver = make_solver("compressed", op, cfg, initial);
+
+  const auto expect_at = [&](const Grid3& init, int level, bool via_rows) {
+    const Grid3 want = reference_result_op(op, init, init, level);
+    if (via_rows) {
+      expect_rows_bitwise_equal(solver, want);
+    } else {
+      tb::test::expect_grids_bitwise_equal(solver.solution(), want);
+    }
+  };
+
+  solver.advance(3);  // remainder only
+  expect_at(initial, 3, false);
+  solver.advance(5);  // one sweep plus one remainder
+  expect_at(initial, 8, true);
+  solver.advance(4);  // reloads the store: forward sweep
+  expect_at(initial, 12, true);
+  solver.advance(4);  // resident store at margin 0: backward sweep
+  expect_at(initial, 16, false);
+  expect_at(initial, 16, true);
+  solver.advance(4);  // forward again
+  expect_at(initial, 20, true);
+  EXPECT_EQ(solver.levels_done(), 20);
+
+  solver.reset(other);
+  expect_at(other, 0, true);
+  solver.advance(4);
+  expect_at(other, 4, true);
+  solver.advance(5);  // the remainder reads the new boundary values
+  expect_at(other, 9, false);
+  solver.advance(4);
+  expect_at(other, 13, true);
+}
+
+TEST_P(CompressedChained, OddDepthKeepsTheAbsoluteLevel) {
+  // With S = 3 each call that starts on the resident store starts at an
+  // odd absolute level, so a level counted twice (once by the store,
+  // once by the facade's LevelOrigin) flips the red-black color and the
+  // lbm distribution parity.
+  const std::string op = GetParam();
+  const Grid3 initial = make_initial(12, 10, 11);
+  SolverConfig cfg = chained_config();
+  cfg.pipeline.team_size = 3;
+  cfg.pipeline.steps_per_thread = 1;
+  ASSERT_EQ(cfg.pipeline.levels_per_sweep(), 3);
+  StencilSolver solver = make_solver("compressed", op, cfg, initial);
+  int level = 0;
+  for (const int steps : {3, 3, 6, 4, 3}) {
+    solver.advance(steps);
+    level += steps;
+    SCOPED_TRACE(level);
+    expect_rows_bitwise_equal(
+        solver, reference_result_op(op, initial, initial, level));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ops, CompressedChained,
+                         ::testing::Values("jacobi", "redblack", "lbm"),
+                         [](const ::testing::TestParamInfo<const char*>& i) {
+                           return std::string(i.param);
+                         });
+
+TEST(CompressedFootprint, HoldsOneStoreUntilSolutionIsRead) {
+  // Through the facade, a compressed solver advanced by whole sweeps and
+  // read through row() holds exactly one buffer, its store; solution()
+  // adds exactly one grid, once.  Its bytes stay below 0.75x those of a
+  // two-grid solver of the same shape (the S-cell margin and the row
+  // padding are small next to the grid at n = 64).
+  const int n = 64;
+  const Grid3 initial = make_initial(n);
+  const Grid3 want = reference_result_op("jacobi", initial, initial, 12);
+  SolverConfig cfg = chained_config();
+  cfg.pipeline.block = {n, 8, 8};
+
+  std::uint64_t bytes0 = util::buffer_bytes_in_use();
+  const Grid3 probe(n, n, n);
+  const std::uint64_t grid_bytes = util::buffer_bytes_in_use() - bytes0;
+  ASSERT_GT(grid_bytes, 0u);
+
+  bytes0 = util::buffer_bytes_in_use();
+  const StencilSolver two = make_solver("pipelined", "jacobi", cfg, initial);
+  const std::uint64_t two_bytes = util::buffer_bytes_in_use() - bytes0;
+  EXPECT_GE(two_bytes, 2 * grid_bytes);
+
+  const std::uint64_t allocs0 = util::buffer_alloc_count();
+  bytes0 = util::buffer_bytes_in_use();
+  StencilSolver comp = make_solver("compressed", "jacobi", cfg, initial);
+  comp.advance(8);
+  comp.advance(4);
+  expect_rows_bitwise_equal(comp, want);
+  EXPECT_EQ(util::buffer_alloc_count() - allocs0, 1u);
+  const std::uint64_t comp_bytes = util::buffer_bytes_in_use() - bytes0;
+  EXPECT_LT(static_cast<double>(comp_bytes), 0.75 * two_bytes);
+
+  tb::test::expect_grids_bitwise_equal(comp.solution(), want);
+  EXPECT_EQ(util::buffer_alloc_count() - allocs0, 2u);
+  EXPECT_EQ(util::buffer_bytes_in_use() - bytes0, comp_bytes + grid_bytes);
+  comp.advance(4);
+  (void)comp.solution();
+  EXPECT_EQ(util::buffer_alloc_count() - allocs0, 2u);
 }
 
 // ---- facade properties across the new axes ---------------------------
