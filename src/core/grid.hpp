@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <climits>
 #include <cmath>
 #include <cstddef>
@@ -16,7 +17,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "topo/placement.hpp"
 #include "util/aligned_buffer.hpp"
+#include "util/slices.hpp"
 
 namespace tb::core {
 
@@ -97,6 +100,43 @@ class Grid3 {
   util::AlignedBuffer<double> buf_;
 };
 
+/// `src` as a topo::touch_pages source for grids shaped like `dst`: dst
+/// cell (i, j, k) takes src cell (i, j, k) + origin, zero where that
+/// lies outside `src` (and in the row padding).  The zero origin with
+/// `dst` shaped like `src` is the plain copy.
+[[nodiscard]] inline topo::PageSource window_source(
+    const Grid3& src, const Grid3& dst,
+    const std::array<int, 3>& origin = {}) {
+  topo::PageSource s;
+  s.data = src.data();
+  s.width = static_cast<std::size_t>(dst.nx());
+  s.stride = static_cast<std::size_t>(dst.stride_x());
+  s.height = static_cast<std::size_t>(dst.ny());
+  s.origin = {origin[0], origin[1], origin[2]};
+  s.extent = {static_cast<std::size_t>(src.nx()),
+              static_cast<std::size_t>(src.ny()),
+              static_cast<std::size_t>(src.nz())};
+  s.pitch = static_cast<std::size_t>(src.stride_x());
+  return s;
+}
+
+/// Writes value(i, j, k) into every cell of `g` and `pad` into its row
+/// padding, z-slices split over `threads` (util::for_each_slice).  Each
+/// cell is a function of its (i, j, k) alone, so the bits do not depend
+/// on the split; `value` must not throw.
+template <class Fn>
+void fill_cells(Grid3& g, int threads, double pad, Fn&& value) {
+  const int nx = g.nx(), ny = g.ny(), sx = g.stride_x();
+  util::for_each_slice(threads, 0, g.nz(), [&](int, int k0, int k1) {
+    for (int k = k0; k < k1; ++k)
+      for (int j = 0; j < ny; ++j) {
+        double* row = g.row(j, k);
+        for (int i = 0; i < nx; ++i) row[i] = value(i, j, k);
+        std::fill(row + nx, row + sx, pad);
+      }
+  });
+}
+
 /// Deterministic pseudo-random initial condition: smooth product of waves
 /// plus a position hash, so that stencil bugs (off-by-one, transposed axes)
 /// show up as large mismatches instead of cancelling out.  Per cell:
@@ -109,37 +149,46 @@ class Grid3 {
 /// bound by memory instead of three libm calls per cell.  Each table
 /// entry is the expression the per-cell formula evaluates and the sum
 /// keeps its order (contraction is off build-wide), so every value is
-/// bit-identical to evaluating the formula cell by cell.
-inline void fill_test_pattern(Grid3& g, double scale = 1.0) {
+/// bit-identical to evaluating the formula cell by cell, whatever the
+/// number of `threads` the z-slices are split over.  Row padding is left
+/// as it is.
+inline void fill_test_pattern(Grid3& g, double scale = 1.0,
+                              int threads = 1) {
   const int nx = g.nx(), ny = g.ny(), nz = g.nz();
+  const int parts = std::max(1, threads);
   std::vector<double> sin_i(static_cast<std::size_t>(nx));
   std::vector<double> cos_j(static_cast<std::size_t>(ny));
-  std::vector<double> sin_ki(static_cast<std::size_t>(nx));
+  // One sin(0.07 k i) row per slice, allocated here: slices must not throw.
+  std::vector<double> sin_ki(static_cast<std::size_t>(nx) * parts);
   for (int i = 0; i < nx; ++i) sin_i[i] = std::sin(0.31 * i);
   for (int j = 0; j < ny; ++j) cos_j[j] = std::cos(0.17 * j);
-  for (int k = 0; k < nz; ++k) {
-    for (int i = 0; i < nx; ++i) sin_ki[i] = std::sin(0.07 * k * i);
-    for (int j = 0; j < ny; ++j) {
-      double* row = g.row(j, k);
-      for (int i = 0; i < nx; ++i) {
-        const double w = sin_i[i] * cos_j[j] + sin_ki[i] * 0.25 +
-                         0.01 * ((i * 131 + j * 17 + k * 739) % 97);
-        row[i] = scale * w;
+  util::for_each_slice(parts, 0, nz, [&](int t, int k0, int k1) {
+    double* ski = sin_ki.data() + static_cast<std::size_t>(t) * nx;
+    for (int k = k0; k < k1; ++k) {
+      for (int i = 0; i < nx; ++i) ski[i] = std::sin(0.07 * k * i);
+      for (int j = 0; j < ny; ++j) {
+        double* row = g.row(j, k);
+        for (int i = 0; i < nx; ++i) {
+          const double w = sin_i[i] * cos_j[j] + ski[i] * 0.25 +
+                           0.01 * ((i * 131 + j * 17 + k * 739) % 97);
+          row[i] = scale * w;
+        }
       }
     }
-  }
+  });
 }
 
 /// The standard two-material field: background kappa 1 with a
 /// high-conductivity (50x) slab across the middle third in z.  The one
 /// material the varcoef examples, benches, tuning probes and tests all
 /// share, so a tuned plan is probed and validated on identical physics.
-[[nodiscard]] inline Grid3 make_slab_kappa(int nx, int ny, int nz) {
+/// Row padding holds 1; `threads` split the z-slices (fill_cells).
+[[nodiscard]] inline Grid3 make_slab_kappa(int nx, int ny, int nz,
+                                           int threads = 1) {
   Grid3 kappa(nx, ny, nz);
-  kappa.fill(1.0);
-  for (int k = nz / 3; k < 2 * nz / 3; ++k)
-    for (int j = 0; j < ny; ++j)
-      for (int i = 0; i < nx; ++i) kappa.at(i, j, k) = 50.0;
+  fill_cells(kappa, threads, 1.0, [&](int, int, int k) {
+    return k >= nz / 3 && k < 2 * nz / 3 ? 50.0 : 1.0;
+  });
   return kappa;
 }
 

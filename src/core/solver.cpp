@@ -263,12 +263,6 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
                   : cfg_.baseline.placement;
   }
 
-  /// The rows of `g` as a touch_pages source.
-  [[nodiscard]] static topo::PageSource rows_of(const Grid3& g) {
-    return {g.data(), static_cast<std::size_t>(g.nx()),
-            static_cast<std::size_t>(g.stride_x())};
-  }
-
   /// Two-grid variants: writes `initial` into both parities — the
   /// boundary values must exist in both — in one parallel pass.  At
   /// construction that pass is the pages' first touch; on reset the
@@ -281,7 +275,7 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
   void write_initial(const Grid3& initial) {
     if (!compressed_) {
       topo::touch_pages({a_.data(), b_.data()}, a_.size(), placement(),
-                        threads(), rows_of(initial));
+                        threads(), window_source(initial, a_));
       return;
     }
     compressed_->load(initial);
@@ -289,7 +283,7 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
     grid_current_ = false;
     if (b_.size() != 0)
       topo::touch_pages({b_.data()}, b_.size(), placement(), threads(),
-                        rows_of(initial));
+                        window_source(initial, b_));
   }
 
   /// Compressed only: copies the store's current level into a_ when a_
@@ -313,7 +307,7 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
     if (b_.size() != 0) return;
     b_ = Grid3(nx_, ny_, nz_);
     topo::touch_pages({b_.data()}, b_.size(), placement(), threads(),
-                      rows_of(a_));
+                      window_source(a_, b_));
   }
 
   static void accumulate(RunStats& total, const RunStats& st) {

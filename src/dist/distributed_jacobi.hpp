@@ -53,6 +53,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "simnet/comm.hpp"
+#include "topo/placement.hpp"
 
 namespace tb::dist {
 
@@ -121,11 +122,21 @@ class DistributedStencil {
     neighbor_lo_ = geom_.neighbor_lo;
     neighbor_hi_ = geom_.neighbor_hi;
 
+    // Global index of local cell (0, 0, 0).
+    const std::array<int, 3> origin{own_lo_[0] - halo_, own_lo_[1] - halo_,
+                                    own_lo_[2] - halo_};
+
     // Both grids start as the local window of the global initial state:
     // the Dirichlet boundary must be present in both (levels alternate
     // grids), and out-of-domain ghost cells are zero-filled, never read.
-    a_ = local_window(global_initial);
-    b_ = a_.clone();
+    // One touch_pages pass writes both, round-robin over the rank's team
+    // threads: the placement StencilSolver gives pipelined grids, since
+    // every team thread updates every block (Sec. 1.3).
+    a_ = core::Grid3(local_n_[0], local_n_[1], local_n_[2]);
+    b_ = core::Grid3(local_n_[0], local_n_[1], local_n_[2]);
+    topo::touch_pages({a_.data(), b_.data()}, a_.size(), kPlacement,
+                      cfg.pipeline.total_threads(),
+                      core::window_source(global_initial, a_, origin));
 
     if constexpr (std::is_same_v<Op, core::VarCoefOp>) {
       if (global_aux == nullptr)
@@ -140,9 +151,13 @@ class DistributedStencil {
       // Rank-local kappa window (zero outside the domain, like a_): the
       // face coefficients of every cell this rank may update — including
       // ghost-layer updates down to depth 1 — depend only on kappa values
-      // inside this window.  The rank's team fills them (bits unchanged).
-      coeffs_.emplace(local_window(*global_aux),
-                      cfg.pipeline.total_threads());
+      // inside this window.  The rank's team cuts the window and fills
+      // the coefficients (bits unchanged).
+      core::Grid3 kappa(local_n_[0], local_n_[1], local_n_[2]);
+      topo::touch_pages({kappa.data()}, kappa.size(), kPlacement,
+                        cfg.pipeline.total_threads(),
+                        core::window_source(*global_aux, kappa, origin));
+      coeffs_.emplace(kappa, cfg.pipeline.total_threads());
       solver_.emplace(cfg.pipeline, level_clips(), Op{&*coeffs_});
     } else if constexpr (StateTraits::kHasStateFields) {
       // State-fields contract (core/stencil_op.hpp): the operator cuts a
@@ -156,7 +171,7 @@ class DistributedStencil {
       core::StateWindowSpec spec;
       spec.global_n = global_n_;
       spec.local_n = local_n_;
-      for (int d = 0; d < 3; ++d) spec.origin[d] = own_lo_[d] - halo_;
+      spec.origin = origin;
       state_.emplace(spec, a_, global_aux, state_params());
       solver_.emplace(cfg.pipeline, level_clips(), state_->op());
     } else if constexpr (std::is_same_v<Op, core::RedBlackOp>) {
@@ -280,6 +295,11 @@ class DistributedStencil {
  private:
   using StateTraits = core::StateFieldsTraits<Op>;
 
+  /// Page placement of the rank grids, as StencilSolver::placement()
+  /// gives pipelined grids.
+  static constexpr topo::PagePlacement kPlacement =
+      topo::PagePlacement::kRoundRobin;
+
   static constexpr int kGatherTag = 64;
   static constexpr int kStateGatherTag = 65;
 
@@ -288,27 +308,6 @@ class DistributedStencil {
   /// the rank-program builder.
   [[nodiscard]] std::pair<int, int> owned_range(int d, int c) const {
     return decomp_.owned_range(d, c);
-  }
-
-  [[nodiscard]] int to_global(int local, int d) const {
-    return own_lo_[d] - halo_ + local;
-  }
-
-  /// This rank's local window of a global-shape grid, zero-filled where
-  /// the window leaves the global domain.
-  [[nodiscard]] core::Grid3 local_window(const core::Grid3& global) const {
-    core::Grid3 w(local_n_[0], local_n_[1], local_n_[2]);
-    w.fill(0.0);
-    for (int k = 0; k < local_n_[2]; ++k)
-      for (int j = 0; j < local_n_[1]; ++j)
-        for (int i = 0; i < local_n_[0]; ++i) {
-          const int gi = to_global(i, 0), gj = to_global(j, 1),
-                    gk = to_global(k, 2);
-          if (gi >= 0 && gi < global_n_[0] && gj >= 0 && gj < global_n_[1] &&
-              gk >= 0 && gk < global_n_[2])
-            w.at(i, j, k) = global.at(gi, gj, gk);
-        }
-    return w;
   }
 
   /// Collects the owned cells of this rank's grids `src` into the

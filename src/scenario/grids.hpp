@@ -30,16 +30,17 @@ namespace tb::scenario {
 ///   uniform  — all ones (LBM: uniform density rho = 1)
 ///   hot-face — zero bulk with a unit x = 0 face (the heat examples'
 ///              Dirichlet drive)
+/// Every builder here writes z-slices on spec.threads threads; each cell
+/// is a function of (i, j, k) alone, so the bits do not depend on them.
 [[nodiscard]] inline core::Grid3 make_initial(const CaseSpec& spec) {
   core::Grid3 g(spec.nx, spec.ny, spec.nz);
   if (spec.initial == "pattern") {
-    core::fill_test_pattern(g);
+    core::fill_test_pattern(g, 1.0, spec.threads);
   } else if (spec.initial == "uniform") {
-    g.fill(1.0);
+    core::fill_cells(g, spec.threads, 1.0, [](int, int, int) { return 1.0; });
   } else if (spec.initial == "hot-face") {
-    g.fill(0.0);
-    for (int k = 0; k < spec.nz; ++k)
-      for (int j = 0; j < spec.ny; ++j) g.at(0, j, k) = 1.0;
+    core::fill_cells(g, spec.threads, 0.0,
+                     [](int i, int, int) { return i == 0 ? 1.0 : 0.0; });
   } else {
     throw std::invalid_argument("scenario: unknown initial \"" +
                                 spec.initial + "\"");
@@ -52,14 +53,22 @@ namespace tb::scenario {
 /// example's field, parameterized by kfiber).
 [[nodiscard]] inline core::Grid3 make_fiber_kappa(const CaseSpec& spec) {
   core::Grid3 kappa(spec.nx, spec.ny, spec.nz);
-  kappa.fill(1.0);
   const int pitch = std::max(4, spec.ny / 4);
   const int width = std::max(1, pitch / 3);
-  for (int k = 0; k < spec.nz; ++k)
-    for (int j = 0; j < spec.ny; ++j)
-      if (j % pitch < width && k % pitch < width)
-        for (int i = 0; i < spec.nx; ++i) kappa.at(i, j, k) = spec.kfiber;
+  core::fill_cells(kappa, spec.threads, 1.0, [&](int, int j, int k) {
+    return j % pitch < width && k % pitch < width ? spec.kfiber : 1.0;
+  });
   return kappa;
+}
+
+/// Code of cell (i, j, k) in the closed cavity of `spec`: 2 on the top
+/// z face (the moving lid), 1 on the other faces, 0 inside.
+[[nodiscard]] inline double cavity_code(const CaseSpec& spec, int i, int j,
+                                        int k) {
+  if (k == spec.nz - 1) return 2.0;
+  return i == 0 || j == 0 || k == 0 || i == spec.nx - 1 || j == spec.ny - 1
+             ? 1.0
+             : 0.0;
 }
 
 /// Geometry-code grid (0 fluid / 1 wall / 2 lid) of a closed cavity
@@ -67,13 +76,9 @@ namespace tb::scenario {
 /// as codes so it rides the aux-grid channel.
 [[nodiscard]] inline core::Grid3 make_cavity_codes(const CaseSpec& spec) {
   core::Grid3 codes(spec.nx, spec.ny, spec.nz);
-  codes.fill(0.0);
-  for (int k = 0; k < spec.nz; ++k)
-    for (int j = 0; j < spec.ny; ++j)
-      for (int i = 0; i < spec.nx; ++i)
-        if (i == 0 || j == 0 || k == 0 || i == spec.nx - 1 ||
-            j == spec.ny - 1 || k == spec.nz - 1)
-          codes.at(i, j, k) = k == spec.nz - 1 ? 2.0 : 1.0;
+  core::fill_cells(codes, spec.threads, 0.0, [&](int i, int j, int k) {
+    return cavity_code(spec, i, j, k);
+  });
   return codes;
 }
 
@@ -81,14 +86,16 @@ namespace tb::scenario {
 /// each extent — the smallest geometry the built-in cavity cannot
 /// express, exercising the geometry-code path end to end.
 [[nodiscard]] inline core::Grid3 make_obstacle_codes(const CaseSpec& spec) {
-  core::Grid3 codes = make_cavity_codes(spec);
   const int bx = std::max(1, spec.nx / 4), by = std::max(1, spec.ny / 4),
             bz = std::max(1, spec.nz / 4);
   const int i0 = (spec.nx - bx) / 2, j0 = (spec.ny - by) / 2,
             k0 = (spec.nz - bz) / 2;
-  for (int k = k0; k < k0 + bz; ++k)
-    for (int j = j0; j < j0 + by; ++j)
-      for (int i = i0; i < i0 + bx; ++i) codes.at(i, j, k) = 1.0;
+  core::Grid3 codes(spec.nx, spec.ny, spec.nz);
+  core::fill_cells(codes, spec.threads, 0.0, [&](int i, int j, int k) {
+    const bool block = i >= i0 && i < i0 + bx && j >= j0 && j < j0 + by &&
+                       k >= k0 && k < k0 + bz;
+    return block ? 1.0 : cavity_code(spec, i, j, k);
+  });
   return codes;
 }
 
@@ -119,7 +126,8 @@ namespace tb::scenario {
                                   "\" is a material field; the lbm "
                                   "operators take cavity|obstacle|none");
     return g == "slab"
-               ? core::make_slab_kappa(spec.nx, spec.ny, spec.nz)
+               ? core::make_slab_kappa(spec.nx, spec.ny, spec.nz,
+                                       spec.threads)
                : make_fiber_kappa(spec);
   }
   // cavity | obstacle: lbm geometry codes.

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -87,15 +88,27 @@ void for_each_owned_page(const PageSplit& split, PagePlacement policy, int t,
 }
 
 /// What touch_pages writes.  The default, a null `data`, writes zeros.
-/// Otherwise `data` is laid out like the destinations — rows `stride`
-/// elements apart, each `width` payload elements followed by padding —
-/// and every destination receives the payload with zero padding (the
-/// source's own padding is never read).  `data` may be one of the
-/// destinations: a solver reset to its own solution copies in place.
+/// Otherwise every destination is a grid of rows `stride` elements
+/// apart, each `width` payload elements followed by padding, `height`
+/// rows to a z-plane, and receives a window of the source grid at
+/// `data`: destination cell (i, j, k) takes source cell
+/// (i, j, k) + origin.  Cells whose source cell lies outside the
+/// source's `extent`, and the row padding, come out zero; the source's
+/// own padding is never read.  The origin may be negative and the window
+/// may leave the source on any side (a rank's window of the global grid
+/// with its out-of-domain ghost cells).  A source laid out like the
+/// destinations is the zero-offset window of their own extents and
+/// pitch; `data` may then be one of the destinations: a solver reset to
+/// its own solution copies in place.  core::window_source builds one
+/// from two grids.
 struct PageSource {
   const double* data = nullptr;
-  std::size_t width = 0;   ///< payload elements per row
-  std::size_t stride = 0;  ///< row pitch in elements, >= width
+  std::size_t width = 0;   ///< destination payload elements per row
+  std::size_t stride = 0;  ///< destination row pitch in elements, >= width
+  std::size_t height = 0;  ///< destination rows per z-plane, >= 1
+  std::array<std::ptrdiff_t, 3> origin{};  ///< source cell of (0, 0, 0)
+  std::array<std::size_t, 3> extent{};     ///< source nx, ny, nz
+  std::size_t pitch = 0;  ///< source row pitch in elements, >= extent[0]
 };
 
 /// Writes the first `count` elements of every destination in `dsts`
@@ -116,8 +129,9 @@ struct PageSource {
 /// and b[i] then share cache sets, and pipelined Jacobi at the memory
 /// tier lost a third of its throughput (see util/aligned_buffer.hpp).
 /// Row padding ends up zero with or without a source.  Throws
-/// std::invalid_argument for a source with stride 0 or width > stride.
+/// std::invalid_argument for a source with stride 0, width > stride,
+/// height 0 or pitch < extent[0].
 void touch_pages(std::initializer_list<double*> dsts, std::size_t count,
-                 PagePlacement policy, int threads, PageSource src = {});
+                 PagePlacement policy, int threads, const PageSource& src = {});
 
 }  // namespace tb::topo

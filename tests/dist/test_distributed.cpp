@@ -14,6 +14,7 @@
 #include "core/registry.hpp"
 #include "dist/registry.hpp"
 #include "support/grid_test_utils.hpp"
+#include "util/aligned_buffer.hpp"
 
 namespace tb::dist {
 namespace {
@@ -64,7 +65,13 @@ INSTANTIATE_TEST_SUITE_P(
                       DecompCase{{2, 2, 1}, 1, 1},
                       DecompCase{{2, 2, 2}, 1, 2},
                       DecompCase{{3, 2, 1}, 2, 1},
-                      DecompCase{{4, 2, 2}, 1, 1}));
+                      DecompCase{{4, 2, 2}, 1, 1},
+                      // Three window writers per rank over local nz = 14
+                      // (8 owned + 2 * 3 ghost layers).
+                      DecompCase{{1, 1, 3}, 3, 1},
+                      // h = 3: every rank's window leaves the domain by
+                      // two layers on each of its three outer faces.
+                      DecompCase{{2, 2, 2}, 3, 1}));
 
 INSTANTIATE_TEST_SUITE_P(
     Overlapped, Decomposition,
@@ -119,7 +126,9 @@ INSTANTIATE_TEST_SUITE_P(
                       DecompCase{{2, 2, 1}, 2, 1},
                       DecompCase{{2, 2, 2}, 1, 2},
                       DecompCase{{2, 2, 1}, 1, 1, true},
-                      DecompCase{{3, 2, 1}, 2, 1, true}));
+                      DecompCase{{3, 2, 1}, 2, 1, true},
+                      DecompCase{{1, 1, 3}, 3, 1},
+                      DecompCase{{2, 2, 2}, 3, 1}));
 
 // ---- lbm: the multi-field state exchange -------------------------------
 
@@ -281,6 +290,21 @@ TEST(Distributed, GatherReassemblesOwnedCells) {
   });
   // No epochs advanced: the gathered grid must be the initial state.
   tb::test::expect_grids_bitwise_equal(out, initial);
+}
+
+TEST(Distributed, RankConstructionAllocatesOnlyItsTwoGrids) {
+  // Each rank's window is written straight into its grid pair: no
+  // temporary window grid, no clone.
+  const core::Grid3 initial = make_initial(18);
+  DistConfig cfg;
+  cfg.proc_dims = {2, 1, 1};
+  cfg.pipeline.team_size = 2;
+  simnet::World world(2);
+  const std::uint64_t before = util::buffer_alloc_count();
+  world.run([&](simnet::Comm& comm) {
+    const auto solver = make_distributed("dist:jacobi", comm, cfg, initial);
+  });
+  EXPECT_EQ(util::buffer_alloc_count() - before, 2u * 2u);
 }
 
 TEST(Distributed, AdvanceReportsLevelsAndVolume) {

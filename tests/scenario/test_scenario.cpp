@@ -6,6 +6,8 @@
 // sweep the CI smoke job runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -214,6 +216,72 @@ TEST(ScenarioGrids, GeometryResolutionAndValidation) {
   spec.op = "varcoef";
   spec.geometry = "none";
   EXPECT_THROW(make_aux(spec), std::invalid_argument);  // varcoef bare
+}
+
+/// The builders' cells, one at a time and serially: the definition the
+/// threaded builders must reproduce bit for bit.
+core::Grid3 serial_reference(const CaseSpec& spec, const std::string& what) {
+  const int nx = spec.nx, ny = spec.ny, nz = spec.nz;
+  core::Grid3 g(nx, ny, nz);
+  if (what == "pattern") {
+    tb::test::fill_test_pattern_oracle(g);
+    return g;
+  }
+  const int pitch = std::max(4, ny / 4), width = std::max(1, pitch / 3);
+  const int bx = std::max(1, nx / 4), by = std::max(1, ny / 4),
+            bz = std::max(1, nz / 4);
+  const int i0 = (nx - bx) / 2, j0 = (ny - by) / 2, k0 = (nz - bz) / 2;
+  for (int k = 0; k < nz; ++k)
+    for (int j = 0; j < ny; ++j)
+      for (int i = 0; i < nx; ++i) {
+        const bool face = i == 0 || j == 0 || k == 0 || i == nx - 1 ||
+                          j == ny - 1 || k == nz - 1;
+        double v = 0.0;
+        if (what == "uniform") {
+          v = 1.0;
+        } else if (what == "hot-face") {
+          v = i == 0 ? 1.0 : 0.0;
+        } else if (what == "slab") {
+          v = k >= nz / 3 && k < 2 * nz / 3 ? 50.0 : 1.0;
+        } else if (what == "fibers") {
+          v = j % pitch < width && k % pitch < width ? spec.kfiber : 1.0;
+        } else {  // cavity, obstacle
+          v = face ? (k == nz - 1 ? 2.0 : 1.0) : 0.0;
+          if (what == "obstacle" && i >= i0 && i < i0 + bx && j >= j0 &&
+              j < j0 + by && k >= k0 && k < k0 + bz)
+            v = 1.0;
+        }
+        g.at(i, j, k) = v;
+      }
+  return g;
+}
+
+TEST(ScenarioGrids, BuildersBitIdenticalAcrossThreadCounts) {
+  // An odd shape: no thread count from 2 to 4 divides nz = 23 evenly.
+  CaseSpec spec;
+  spec.nx = 37;
+  spec.ny = 29;
+  spec.nz = 23;
+  spec.kfiber = 7.5;
+  for (const std::string initial : {"pattern", "uniform", "hot-face"})
+    for (int threads = 1; threads <= 4; ++threads) {
+      SCOPED_TRACE(initial + " threads " + std::to_string(threads));
+      spec.initial = initial;
+      spec.threads = threads;
+      tb::test::expect_grids_bitwise_equal(
+          make_initial(spec), serial_reference(spec, initial));
+    }
+  for (const std::string geometry : {"slab", "fibers", "cavity", "obstacle"})
+    for (int threads = 1; threads <= 4; ++threads) {
+      SCOPED_TRACE(geometry + " threads " + std::to_string(threads));
+      spec.op = geometry == "slab" || geometry == "fibers" ? "varcoef" : "lbm";
+      spec.geometry = geometry;
+      spec.threads = threads;
+      const std::optional<core::Grid3> aux = make_aux(spec);
+      ASSERT_TRUE(aux.has_value());
+      tb::test::expect_grids_bitwise_equal(*aux,
+                                           serial_reference(spec, geometry));
+    }
 }
 
 TEST(ScenarioEngine, CasesBitIdenticalToFreshSolvers) {

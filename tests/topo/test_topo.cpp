@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -115,8 +116,7 @@ TEST_P(TouchPagesCopy, MatchesPerCellCopyWithZeroPadding) {
   a.fill(-1.0);
   b.fill(-2.0);
   touch_pages({a.data(), b.data()}, a.size(), policy, threads,
-              {src.data(), static_cast<std::size_t>(src.nx()),
-               static_cast<std::size_t>(src.stride_x())});
+              core::window_source(src, src));
   const std::size_t bytes = want.size() * sizeof(double);
   EXPECT_EQ(std::memcmp(a.data(), want.data(), bytes), 0);
   EXPECT_EQ(std::memcmp(b.data(), want.data(), bytes), 0);
@@ -157,8 +157,7 @@ TEST_P(TouchPagesCopy, LargePairAtDifferentHugePageOffsets) {
   std::fill(a, a + src.size(), -1.0);
   std::fill(b, b + src.size(), -2.0);
   touch_pages({a, b}, src.size(), policy, threads,
-              {src.data(), static_cast<std::size_t>(src.nx()),
-               static_cast<std::size_t>(src.stride_x())});
+              core::window_source(src, src));
   const std::size_t bytes = want.size() * sizeof(double);
   EXPECT_EQ(std::memcmp(a, want.data(), bytes), 0);
   EXPECT_EQ(std::memcmp(b, want.data(), bytes), 0);
@@ -171,13 +170,86 @@ INSTANTIATE_TEST_SUITE_P(
                                          PagePlacement::kSerial),
                        ::testing::Values(1, 3, 4)));
 
+// Windows of a 13 x 11 x 9 source (rows padded to 16) cut into
+// destinations of other extents and row pitch (24 and 8), at origins
+// offset along each axis, negative ones included, and windows larger
+// than the source that leave it on both sides of an axis or lie wholly
+// outside it.  The reference is the per-cell copy with zero outside the
+// source and in the padding.
+class TouchPagesWindow
+    : public ::testing::TestWithParam<std::tuple<PagePlacement, int>> {};
+
+TEST_P(TouchPagesWindow, MatchesPerCellWindowWithZeroOutside) {
+  const auto [policy, threads] = GetParam();
+  core::Grid3 src(13, 11, 9);
+  src.fill(std::numeric_limits<double>::quiet_NaN());  // garbage padding
+  for (int k = 0; k < src.nz(); ++k)
+    for (int j = 0; j < src.ny(); ++j)
+      for (int i = 0; i < src.nx(); ++i)
+        src.at(i, j, k) = 0.5 + i + 100.0 * j + 1.0e4 * k;
+
+  using Vec = std::array<int, 3>;
+  const Vec shapes[] = {{21, 15, 12}, {5, 7, 4}};
+  const Vec origins[] = {{0, 0, 0},    {2, 0, 0},   {0, 3, 0},
+                         {0, 0, 4},    {-3, 0, 0},  {0, -2, 0},
+                         {0, 0, -5},   {-4, -2, -2}, {9, 6, 7},
+                         {-1, 8, -3},  {20, 0, 0},  {0, 0, -30}};
+  for (const Vec& n : shapes)
+    for (const Vec& o : origins) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shape " << n[0] << "x" << n[1] << "x" << n[2]
+                   << " origin " << o[0] << "," << o[1] << "," << o[2]);
+      core::Grid3 want(n[0], n[1], n[2]);
+      want.fill(0.0);
+      for (int k = 0; k < n[2]; ++k)
+        for (int j = 0; j < n[1]; ++j)
+          for (int i = 0; i < n[0]; ++i) {
+            const int si = i + o[0], sj = j + o[1], sk = k + o[2];
+            if (si >= 0 && si < src.nx() && sj >= 0 && sj < src.ny() &&
+                sk >= 0 && sk < src.nz())
+              want.at(i, j, k) = src.at(si, sj, sk);
+          }
+
+      core::Grid3 a(n[0], n[1], n[2]), b(n[0], n[1], n[2]);
+      ASSERT_NE(a.stride_x(), src.stride_x());
+      a.fill(-1.0);
+      b.fill(-2.0);
+      touch_pages({a.data(), b.data()}, a.size(), policy, threads,
+                  core::window_source(src, a, o));
+      const std::size_t bytes = want.size() * sizeof(double);
+      EXPECT_EQ(std::memcmp(a.data(), want.data(), bytes), 0);
+      EXPECT_EQ(std::memcmp(b.data(), want.data(), bytes), 0);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesByThreads, TouchPagesWindow,
+    ::testing::Combine(::testing::Values(PagePlacement::kFirstTouch,
+                                         PagePlacement::kRoundRobin,
+                                         PagePlacement::kSerial),
+                       ::testing::Values(1, 2, 3, 5)));
+
 TEST(TouchPagesSource, RejectsMalformedRows) {
-  std::vector<double> src(8, 1.0), dst(8);
+  std::vector<double> src(64, 1.0), dst(64);
   EXPECT_THROW(touch_pages({dst.data()}, 8, PagePlacement::kSerial, 1,
                            {src.data(), 4, 0}),
                std::invalid_argument);
   EXPECT_THROW(touch_pages({dst.data()}, 8, PagePlacement::kSerial, 1,
                            {src.data(), 5, 4}),
+               std::invalid_argument);
+  PageSource window{src.data(), 4, 8, 2};
+  window.extent = {8, 2, 4};
+  window.pitch = 8;
+  EXPECT_NO_THROW(touch_pages({dst.data()}, 64, PagePlacement::kSerial, 1,
+                              window));
+  window.pitch = 7;  // source rows overlap
+  EXPECT_THROW(touch_pages({dst.data()}, 64, PagePlacement::kSerial, 1,
+                           window),
+               std::invalid_argument);
+  window.pitch = 8;
+  window.height = 0;  // no rows per plane
+  EXPECT_THROW(touch_pages({dst.data()}, 64, PagePlacement::kSerial, 1,
+                           window),
                std::invalid_argument);
 }
 
