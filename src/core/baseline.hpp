@@ -22,7 +22,6 @@
 #include "core/sync.hpp"  // SpinBarrier
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "topo/placement.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -33,7 +32,6 @@ struct BaselineConfig {
   int threads = 1;
   BlockSize block{600, 20, 20};  ///< spatial tiles; bx is the inner loop
   bool nontemporal = true;       ///< bypass-cache streaming stores
-  topo::PagePlacement placement = topo::PagePlacement::kFirstTouch;
 };
 
 /// Spatially blocked multi-threaded sweeps on two grids, templated on the
@@ -113,17 +111,18 @@ class BaselineSolver {
               for (int j = ja; j < jb; ++j) {
                 for (int ia = 1; ia < nx_ - 1; ia += cfg_.block.bx) {
                   const int ib = std::min(ia + cfg_.block.bx, nx_ - 1);
-                  if (nt) {
-                    op_.row_nt(dst.row(j, k), src.row(j, k),
-                               src.row(j - 1, k), src.row(j + 1, k),
-                               src.row(j, k - 1), src.row(j, k + 1),
-                               global, j, k, ia, ib);
-                  } else {
-                    op_.row(dst.row(j, k), src.row(j, k),
-                            src.row(j - 1, k), src.row(j + 1, k),
-                            src.row(j, k - 1), src.row(j, k + 1), global,
-                            j, k, ia, ib);
+                  if constexpr (Op::kHasNontemporal) {
+                    if (nt) {
+                      op_.row_nt(dst.row(j, k), src.row(j, k),
+                                 src.row(j - 1, k), src.row(j + 1, k),
+                                 src.row(j, k - 1), src.row(j, k + 1),
+                                 global, j, k, ia, ib);
+                      continue;
+                    }
                   }
+                  op_.row(dst.row(j, k), src.row(j, k), src.row(j - 1, k),
+                          src.row(j + 1, k), src.row(j, k - 1),
+                          src.row(j, k + 1), global, j, k, ia, ib);
                 }
               }
           }

@@ -6,7 +6,10 @@
 // cell.  One team sweep of S = n*t*T levels therefore drifts the data
 // window by S cells toward the array origin; the next sweep shifts by
 // (+1,+1,+1) per level and drifts back, which requires reverse traversal
-// (descending indices) to stay race-free.  The allocation is (n+S)^3-ish:
+// to stay race-free: descending blocks, planes and rows.  Within a row the
+// operator runs in ascending i (see the StencilOp contract; only Box27Op,
+// which reads the row it overwrites, picks its own order).  The paper
+// descended within rows too.  The allocation is (n+S)^3-ish:
 // only one grid plus an S-cell margin, saving nearly half the memory and
 // the corresponding write-allocate bandwidth.
 //
@@ -187,8 +190,9 @@ class CompressedSolver {
       return store_.row(j + m_dst, k + m_dst) + m_dst;
     };
 
-    // Traversal direction must match the shift direction: descending for
-    // the (+1,+1,+1) sweeps, ascending otherwise.
+    // The order across rows must match the shift direction: descending
+    // for the (+1,+1,+1) sweeps, ascending otherwise.  A row itself runs
+    // in op_.row()'s own order.
     const int k_first = forward ? w.lo[2] : w.hi[2] - 1;
     const int k_last = forward ? w.hi[2] : w.lo[2] - 1;
     const int step = forward ? 1 : -1;
@@ -205,25 +209,17 @@ class CompressedSolver {
           for (int i = w.lo[0]; i < w.hi[0]; ++i) dst[i] = src[i];
           continue;
         }
-        // The x-edge copies must follow the traversal direction: the
-        // shifted dst row aliases the source row (j-1, k-1) resp.
-        // (j+1, k+1) of operators that read the full 3^3 neighborhood
-        // (Box27Op), so the copy at the trailing end of the row must not
-        // run until the stencil loop has passed it.
+        // The shifted dst row is the source row (j-1, k-1) resp.
+        // (j+1, k+1), one cell over, whose cells Box27Op's corners read.
+        // Forward, dst[last_x] lands on a corner of the row's last stencil
+        // cell; backward, dst[0] on one of its first two.  That copy waits
+        // for the stencil; the other edge lands outside every read.
         if (forward && w.lo[0] == 0) dst[0] = src[0];
         if (!forward && w.hi[0] == nx_) dst[last_x] = src[last_x];
-        if (sx0 < sx1) {
-          const double* jm = src_row(j - 1, k);
-          const double* jp = src_row(j + 1, k);
-          const double* km = src_row(j, k - 1);
-          const double* kp = src_row(j, k + 1);
-          if (forward) {
-            op_.row(dst, src, jm, jp, km, kp, op_level, j, k, sx0, sx1);
-          } else {
-            op_.row_reverse(dst, src, jm, jp, km, kp, op_level, j, k, sx0,
-                            sx1);
-          }
-        }
+        if (sx0 < sx1)
+          op_.row(dst, src, src_row(j - 1, k), src_row(j + 1, k),
+                  src_row(j, k - 1), src_row(j, k + 1), op_level, j, k, sx0,
+                  sx1);
         if (forward && w.hi[0] == nx_) dst[last_x] = src[last_x];
         if (!forward && w.lo[0] == 0) dst[0] = src[0];
       }

@@ -4,41 +4,29 @@
 //   B[i,j,k] = 1/6 (A[i-1,j,k] + A[i+1,j,k] + A[i,j-1,k] + A[i,j+1,k]
 //                 + A[i,j,k-1] + A[i,j,k+1])
 //
-// All kernels operate on one x-row at a time; callers pass the six source
-// row pointers.  The pointers never alias each other even in the
-// compressed-grid (in-place, shifted) scheme, because the destination row
-// (j-1, k-1) is not among the source rows {(j,k), (j±1,k), (j,k±1)} —
-// hence the __restrict__ qualifiers are valid.
+// All kernels operate on one x-row at a time, in ascending i; callers pass
+// the six source row pointers.  The pointers never alias each other even
+// in the compressed-grid (in-place, shifted) scheme: there the destination
+// row is the source row (j-1, k-1) resp. (j+1, k+1), which is not among
+// the rows {(j,k), (j±1,k), (j,k±1)} the update reads — hence the
+// __restrict__ qualifiers are valid, and the order within a row is free.
 //
 // The row bodies are written against the explicit vec<double, W> layer
-// (util/simd.hpp) instead of hoping the autovectorizer takes the TB_IVDEP
-// hint: W cells per iteration, each lane evaluating the identical scalar
-// expression tree (jacobi_cell) elementwise, plus a scalar tail for the
-// row remainder.  Per-lane arithmetic is exactly the scalar expression
-// and contraction is off build-wide, so bit-identity across variants —
-// and across TB_SIMD ISA choices — is preserved.
+// (util/simd.hpp) instead of relying on the autovectorizer: W cells per
+// iteration, each lane evaluating the identical scalar expression tree
+// (jacobi_cell) elementwise, plus a scalar tail for the row remainder.
+// Per-lane arithmetic is exactly the scalar expression and contraction is
+// off build-wide, so bit-identity across variants — and across TB_SIMD ISA
+// choices — is preserved.
 //
-// The reverse variants iterate descending i; they exist because compressed
-// grid sweeps that shift by (+1,+1,+1) overlap source and destination such
-// that only a descending traversal is race-free.  (The paper used SSE
-// intrinsics here because icc refused to vectorize backward loops; the
-// vec blocks handle either direction.)
+// Backward compressed sweeps therefore descend across rows only (the paper
+// also descended within each row, and hand-wrote SSE because icc would not
+// vectorize backward loops).
 #pragma once
 
 #include <cstdint>
 
 #include "util/simd.hpp"
-
-/// Explicit "no loop-carried dependence" marker for plain row loops.
-/// Kept for operators that stay scalar (RedBlackOp's color-masked row);
-/// the hot kernels below use the vec layer and no longer need it.
-#if defined(__clang__)
-#define TB_IVDEP _Pragma("clang loop vectorize(enable)")
-#elif defined(__GNUC__)
-#define TB_IVDEP _Pragma("GCC ivdep")
-#else
-#define TB_IVDEP
-#endif
 
 namespace tb::core {
 
@@ -65,7 +53,7 @@ inline constexpr double kSixth = 1.0 / 6.0;
           V::load(jp + i) + V::load(km + i) + V::load(kp + i));
 }
 
-/// Forward Jacobi row update: dst[i] for i in [i0, i1).
+/// Jacobi row update: dst[i] for i in [i0, i1).
 inline void jacobi_row(double* __restrict__ dst,
                        const double* __restrict__ c,
                        const double* __restrict__ jm,
@@ -77,22 +65,6 @@ inline void jacobi_row(double* __restrict__ dst,
   for (; i + W <= i1; i += W)
     jacobi_cell_vec(c, jm, jp, km, kp, i).store(dst + i);
   for (; i < i1; ++i) dst[i] = jacobi_cell(c, jm, jp, km, kp, i);
-}
-
-/// Reverse-order Jacobi row update (descending i), same arithmetic.
-inline void jacobi_row_reverse(double* __restrict__ dst,
-                               const double* __restrict__ c,
-                               const double* __restrict__ jm,
-                               const double* __restrict__ jp,
-                               const double* __restrict__ km,
-                               const double* __restrict__ kp, int i0,
-                               int i1) {
-  constexpr int W = util::simd::dvec::kWidth;
-  int i = i1 - W;
-  for (; i >= i0; i -= W)
-    jacobi_cell_vec(c, jm, jp, km, kp, i).store(dst + i);
-  for (i += W - 1; i >= i0; --i)
-    dst[i] = jacobi_cell(c, jm, jp, km, kp, i);
 }
 
 /// Whether non-temporal (streaming) stores are available on this target

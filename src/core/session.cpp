@@ -48,8 +48,7 @@ std::string SolverSession::fingerprint(const SolveRequest& req) {
      << static_cast<int>(p.scheme) << '|';
   const BaselineConfig& b = c.baseline;
   os << b.threads << ',' << b.block.bx << ',' << b.block.by << ','
-     << b.block.bz << ',' << b.nontemporal << ','
-     << static_cast<int>(b.placement) << '|';
+     << b.block.bz << ',' << b.nontemporal << '|';
   os << c.wavefront.threads << '|';
   os << c.lbm.omega << ',' << c.lbm.rho0 << ',' << c.lbm.lid_velocity[0]
      << ',' << c.lbm.lid_velocity[1] << ',' << c.lbm.lid_velocity[2] << ','

@@ -260,7 +260,7 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
     const bool spread = cfg_.variant == Variant::kPipelined ||
                         cfg_.variant == Variant::kWavefront;
     return spread ? topo::PagePlacement::kRoundRobin
-                  : cfg_.baseline.placement;
+                  : topo::PagePlacement::kFirstTouch;
   }
 
   /// Two-grid variants: writes `initial` into both parities — the

@@ -24,18 +24,21 @@
 //   // (RedBlackOp's color phase, lbm::LbmOp's distribution parity) add
 //   // an externally owned LevelOrigin to recover the absolute time
 //   // level; time-invariant operators ignore it.
+//   //
+//   // Every scheme calls row() in both sweep directions of the
+//   // compressed grid: only the order ACROSS rows follows the shift, a
+//   // row itself may run in ascending i.  In a compressed sweep dst is
+//   // the source row (j-1, k-1) (forward, shift (-1,-1,-1)) resp.
+//   // (j+1, k+1) (backward, shift (+1,+1,+1)), one cell over; an
+//   // operator whose row reads that row must order its own loop to
+//   // read each such cell before overwriting it (Box27Op).
 //   void row(double* dst, const double* c, const double* jm,
 //            const double* jp, const double* km, const double* kp,
 //            int level, int j, int k, int i0, int i1) const;
 //
-//   // Same update with descending i — required by the compressed-grid
-//   // scheme whose even sweeps shift by (+1,+1,+1) and are only
-//   // race-free when traversed backward.
-//   void row_reverse(...same signature...) const;
-//
-//   // Same update with non-temporal (streaming) stores, bypassing the
-//   // cache to avoid the write-allocate; falls back to row() when the
-//   // operator (or target) has no streaming path.
+//   // Only when kHasNontemporal: the same update with non-temporal
+//   // (streaming) stores, bypassing the cache to avoid the
+//   // write-allocate.  The baseline scheme is its only caller.
 //   void row_nt(...same signature...) const;
 //
 // Every row method must evaluate the *identical floating-point
@@ -77,15 +80,6 @@ struct JacobiOp {
            const double* __restrict__ km, const double* __restrict__ kp,
            int /*level*/, int /*j*/, int /*k*/, int i0, int i1) const {
     jacobi_row(dst, c, jm, jp, km, kp, i0, i1);
-  }
-
-  void row_reverse(double* __restrict__ dst, const double* __restrict__ c,
-                   const double* __restrict__ jm,
-                   const double* __restrict__ jp,
-                   const double* __restrict__ km,
-                   const double* __restrict__ kp, int /*level*/, int /*j*/,
-                   int /*k*/, int i0, int i1) const {
-    jacobi_row_reverse(dst, c, jm, jp, km, kp, i0, i1);
   }
 
   void row_nt(double* __restrict__ dst, const double* __restrict__ c,
@@ -244,28 +238,6 @@ struct VarCoefOp {
     for (; i < i1; ++i)
       dst[i] = cell(c, jm, jp, km, kp, f.xm, f.xp, f.ym, f.yp, f.zm, f.zp, i);
   }
-
-  void row_reverse(double* __restrict__ dst, const double* __restrict__ c,
-                   const double* __restrict__ jm,
-                   const double* __restrict__ jp,
-                   const double* __restrict__ km,
-                   const double* __restrict__ kp, int /*level*/, int j,
-                   int k, int i0, int i1) const {
-    const auto f = coeffs->rows(j, k);
-    constexpr int W = util::simd::dvec::kWidth;
-    int i = i1 - W;
-    for (; i >= i0; i -= W)
-      cell_vec(c, jm, jp, km, kp, f.xm, f.xp, f.ym, f.yp, f.zm, f.zp, i)
-          .store(dst + i);
-    for (i += W - 1; i >= i0; --i)
-      dst[i] = cell(c, jm, jp, km, kp, f.xm, f.xp, f.ym, f.yp, f.zm, f.zp, i);
-  }
-
-  void row_nt(double* dst, const double* c, const double* jm,
-              const double* jp, const double* km, const double* kp,
-              int level, int j, int k, int i0, int i1) const {
-    row(dst, c, jm, jp, km, kp, level, j, k, i0, i1);  // no streaming path
-  }
 };
 
 /// 27-point "box" smoother: the trilinear-weighted average of the full
@@ -282,11 +254,11 @@ struct VarCoefOp {
 ///
 /// NO __restrict__ here, deliberately: in the compressed-grid scheme the
 /// destination row aliases the source row (j-1, k-1) (forward sweeps,
-/// which shift by (-1,-1,-1)) resp. (j+1, k+1) (backward sweeps).  The
-/// only colliding cell is the corner the current iteration overwrites,
-/// and each per-cell expression reads its sources before storing, so
-/// plain C semantics keep every traversal race-free — but telling the
-/// compiler "no aliasing" would be a lie.
+/// which shift by (-1,-1,-1)) resp. (j+1, k+1) (backward sweeps), one
+/// cell over, and Box27Op is the one operator that reads that row (its
+/// corners).  row() orders its cells so each is read before the store
+/// that overwrites it — but telling the compiler "no aliasing" would be
+/// a lie.
 struct Box27Op {
   static constexpr int kHalo = 1;
   static constexpr bool kHasNontemporal = false;
@@ -345,42 +317,28 @@ struct Box27Op {
     const double* kmjp = km + up;
     const double* kpjm = kp + dn;
     const double* kpjp = kp + up;
-    // The W-cell blocks are sound despite the compressed-scheme aliasing:
-    // within a row every aliased location is read only at iterations
-    // at-or-before the one that overwrites it (write-after-read), and a
-    // read-all-lanes-then-write-all-lanes block only moves reads earlier
-    // and writes later, which preserves WAR.
+    // A backward compressed sweep stores cell i over kpjp[i + 1], which
+    // cells i + 1 and i + 2 still read: that row descends.  Elsewhere the
+    // store is not read (two grids) or read only at or before the cell
+    // that overwrites it (forward sweeps: dst == kmjm - 1), so the row
+    // ascends.  Either way each location is read before it is written,
+    // and a read-all-lanes-then-write-all-lanes W-block only moves reads
+    // earlier and writes later, which keeps that order.
     constexpr int W = util::simd::dvec::kWidth;
+    if (dst == kpjp + 1) {
+      int i = i1 - W;
+      for (; i >= i0; i -= W)
+        cell_vec(c, jm, jp, km, kp, kmjm, kmjp, kpjm, kpjp, i)
+            .store(dst + i);
+      for (i += W - 1; i >= i0; --i)
+        dst[i] = cell(c, jm, jp, km, kp, kmjm, kmjp, kpjm, kpjp, i);
+      return;
+    }
     int i = i0;
     for (; i + W <= i1; i += W)
       cell_vec(c, jm, jp, km, kp, kmjm, kmjp, kpjm, kpjp, i).store(dst + i);
     for (; i < i1; ++i)
       dst[i] = cell(c, jm, jp, km, kp, kmjm, kmjp, kpjm, kpjp, i);
-  }
-
-  void row_reverse(double* dst, const double* c, const double* jm,
-                   const double* jp, const double* km, const double* kp,
-                   int /*level*/, int /*j*/, int /*k*/, int i0,
-                   int i1) const {
-    const std::ptrdiff_t up = jp - c;
-    const std::ptrdiff_t dn = jm - c;
-    const double* kmjm = km + dn;
-    const double* kmjp = km + up;
-    const double* kpjm = kp + dn;
-    const double* kpjp = kp + up;
-    // Same WAR-only argument as row(), mirrored for descending i.
-    constexpr int W = util::simd::dvec::kWidth;
-    int i = i1 - W;
-    for (; i >= i0; i -= W)
-      cell_vec(c, jm, jp, km, kp, kmjm, kmjp, kpjm, kpjp, i).store(dst + i);
-    for (i += W - 1; i >= i0; --i)
-      dst[i] = cell(c, jm, jp, km, kp, kmjm, kmjp, kpjm, kpjp, i);
-  }
-
-  void row_nt(double* dst, const double* c, const double* jm,
-              const double* jp, const double* km, const double* kp,
-              int level, int j, int k, int i0, int i1) const {
-    row(dst, c, jm, jp, km, kp, level, j, k, i0, i1);  // no streaming path
   }
 };
 
@@ -432,21 +390,6 @@ struct RedBlackOp {
     const int jk = j + k + parity;
     for (int i = i0; i < i1; ++i)
       dst[i] = cell(c, jm, jp, km, kp, color, i, jk);
-  }
-
-  void row_reverse(double* dst, const double* c, const double* jm,
-                   const double* jp, const double* km, const double* kp,
-                   int level, int j, int k, int i0, int i1) const {
-    const int color = absolute(level) & 1;
-    const int jk = j + k + parity;
-    for (int i = i1 - 1; i >= i0; --i)
-      dst[i] = cell(c, jm, jp, km, kp, color, i, jk);
-  }
-
-  void row_nt(double* dst, const double* c, const double* jm,
-              const double* jp, const double* km, const double* kp,
-              int level, int j, int k, int i0, int i1) const {
-    row(dst, c, jm, jp, km, kp, level, j, k, i0, i1);  // no streaming path
   }
 };
 

@@ -204,9 +204,10 @@ struct LatticeRow {
 /// their density into dst[i]; solid cells copy the carrier through and
 /// leave every lattice slot untouched.  Each cell reads all 19 fin before
 /// writing any fout, which is what makes the in-place AA wirings (where
-/// out[] aliases fl[]/bb[]) correct.  Traversal direction is a template
-/// parameter because the compressed scheme's carrier aliasing dictates
-/// the i order; the lattice writes themselves are order-independent.
+/// out[] aliases fl[]/bb[]) correct.  Cells run in ascending i in every
+/// scheme: a cell reads only its own carrier cell c[i], so the compressed
+/// scheme's shifted dst row (another source row) sets no order, and the
+/// lattice writes are order-independent.
 ///
 /// Cell-blocked SoA vectorization: runs of W cells whose masks are all
 /// zero (the overwhelming case on interior rows of the cavity) transpose
@@ -237,8 +238,7 @@ struct LatticeRow {
 /// each of the 19 pull streams per block — the 19-pointer gather is
 /// exactly the access pattern that exhausts the hardware prefetcher's
 /// stream budget.  Prefetches never fault, so no end-of-row clamp.
-template <bool Reverse, bool StreamCarrier = false,
-          bool StreamLattice = false>
+template <bool StreamCarrier = false, bool StreamLattice = false>
 inline void masked_stream_collide_row(const LbmConfig& cfg,
                                       const LidTerms& lid,
                                       const std::uint64_t* mask,
@@ -307,41 +307,25 @@ inline void masked_stream_collide_row(const LbmConfig& cfg,
     }
   };
 
-  if constexpr (Reverse) {
-    // Descending blocks; mixed blocks run their lanes descending too, so
-    // the carrier writes keep the exact order the compressed scheme's
-    // row-level aliasing argument assumes.  No Stream flavor here: the
-    // reverse traversal only exists for cache-resident blocked sweeps.
-    int i = i1 - W;
-    for (; i >= i0; i -= W) {
-      if (block_mask(i) == 0) {
-        block(i);
-      } else {
-        for (int l = W - 1; l >= 0; --l) cell(i + l);
-      }
-    }
-    for (i += W - 1; i >= i0; --i) cell(i);
-  } else {
-    int i = i0;
-    if constexpr (StreamCarrier || StreamLattice) {
-      // Peel to the store alignment the streaming instructions require:
-      // rows start 64-byte aligned, so dst + i (and every out[q] + i of
-      // the two-lattice wiring) is vector-aligned iff i % W == 0.
-      constexpr std::uintptr_t kVecBytes = W * sizeof(double);
-      for (; i < i1 &&
-             (reinterpret_cast<std::uintptr_t>(dst + i) % kVecBytes) != 0;
-           ++i)
-        cell(i);
-    }
-    for (; i + W <= i1; i += W) {
-      if (block_mask(i) == 0) {
-        block(i);
-      } else {
-        for (int l = 0; l < W; ++l) cell(i + l);
-      }
-    }
-    for (; i < i1; ++i) cell(i);
+  int i = i0;
+  if constexpr (StreamCarrier || StreamLattice) {
+    // Peel to the store alignment the streaming instructions require:
+    // rows start 64-byte aligned, so dst + i (and every out[q] + i of
+    // the two-lattice wiring) is vector-aligned iff i % W == 0.
+    constexpr std::uintptr_t kVecBytes = W * sizeof(double);
+    for (; i < i1 &&
+           (reinterpret_cast<std::uintptr_t>(dst + i) % kVecBytes) != 0;
+         ++i)
+      cell(i);
   }
+  for (; i + W <= i1; i += W) {
+    if (block_mask(i) == 0) {
+      block(i);
+    } else {
+      for (int l = 0; l < W; ++l) cell(i + l);
+    }
+  }
+  for (; i < i1; ++i) cell(i);
 }
 
 /// One stream-collide update of the *fluid* cell (i, j, k): writes the 19

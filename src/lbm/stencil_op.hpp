@@ -41,8 +41,8 @@
 // stream step's push into slot (q, x + e_q) is safe because the only
 // level-L reader of that slot is cell x itself (fin[opp(q)] of x's own
 // update — which reads all 19 slots before writing any), and its only
-// writer is x, so neither another cell's concurrent update nor a
-// reversed row traversal can observe a half-updated slot.  The engine's
+// writer is x, so neither another cell's concurrent update nor the
+// order of cells within a row can expose a half-updated slot.  The engine's
 // release/acquire progress counters (core/sync.hpp) provide the
 // happens-before edges for the side-channel writes.
 //
@@ -355,8 +355,8 @@ class LbmState {
 /// the LbmState side channel; see the header comment for why every
 /// scheme schedule is safe for both storage policies.  No __restrict__:
 /// in the compressed scheme the carrier dst row aliases the source row
-/// (j∓1, k∓1), harmless because each cell reads its carrier source
-/// before storing.
+/// (j∓1, k∓1), harmless in either row order because a cell reads only
+/// the centre row's c[i].
 struct LbmOp {
   static constexpr int kHalo = 1;
   // Every level-L store is first read at level L+1, so skipping the
@@ -374,14 +374,7 @@ struct LbmOp {
            const double* /*jp*/, const double* /*km*/,
            const double* /*kp*/, int level, int j, int k, int i0,
            int i1) const {
-    row_impl<false>(dst, c, level, j, k, i0, i1);
-  }
-
-  void row_reverse(double* dst, const double* c, const double* /*jm*/,
-                   const double* /*jp*/, const double* /*km*/,
-                   const double* /*kp*/, int level, int j, int k, int i0,
-                   int i1) const {
-    row_impl<true>(dst, c, level, j, k, i0, i1);
+    row_impl(dst, c, level, j, k, i0, i1);
   }
 
   void row_nt(double* dst, const double* c, const double* /*jm*/,
@@ -390,14 +383,14 @@ struct LbmOp {
               int i1) const {
     // row_impl narrows the flag per wiring: two-lattice streams carrier
     // and lattice, AA streams the carrier only (see kHasNontemporal).
-    row_impl<false, util::simd::kHasStream>(dst, c, level, j, k, i0, i1);
+    row_impl<util::simd::kHasStream>(dst, c, level, j, k, i0, i1);
   }
 
  private:
   /// Wires the row pointer bundle for the storage policy and the level
   /// parity, then runs the shared masked kernel.  The three wirings are
   /// documented at lbm::LatticeRow.
-  template <bool Reverse, bool Stream = false>
+  template <bool Stream = false>
   void row_impl(double* dst, const double* c, int level, int j, int k,
                 int i0, int i1) const {
     LbmState& s = *state;
@@ -413,7 +406,7 @@ struct LbmOp {
         r.bb[uq] = src.f(opposite(q)).row(j, k);
         r.out[uq] = dst_lat.f(q).row(j, k);
       }
-      masked_stream_collide_row<Reverse, Stream, Stream>(
+      masked_stream_collide_row<Stream, Stream>(
           s.config(), s.lid_terms(), s.mask_row(j, k), r, dst, c, i0, i1,
           s.prefetch);
       return;
@@ -446,7 +439,7 @@ struct LbmOp {
     // AA wirings stream the carrier only: the in-place lattice writes
     // hit already-loaded lines (nothing to skip), and the stream step's
     // +e[0] shift breaks the lattice stores' alignment class anyway.
-    masked_stream_collide_row<Reverse, Stream, false>(
+    masked_stream_collide_row<Stream, false>(
         s.config(), s.lid_terms(), s.mask_row(j, k), r, dst, c, i0, i1,
         s.prefetch);
   }

@@ -1,7 +1,7 @@
 // Portable fixed-width SIMD layer: vec<double, W> over AVX-512 / AVX2 /
 // SSE2 / NEON with a generic scalar fallback.
 //
-// Why an explicit layer instead of TB_IVDEP hope: the hot row kernels
+// Why an explicit layer instead of autovectorizer hints: the hot row kernels
 // (Jacobi, varcoef, box27 and above all the 19-array D3Q19 gather) are
 // exactly the loops compilers vectorize unreliably, and the perfmodel
 // ranks schedules assuming full-width stores.  vec gives the kernels

@@ -1,13 +1,17 @@
-// Unit tests for Grid3 and the row kernels.
+// Unit tests for Grid3, the row kernels and Box27Op's in-place rows.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/grid.hpp"
 #include "core/kernels.hpp"
+#include "core/stencil_op.hpp"
 #include "support/grid_test_utils.hpp"
 
 namespace tb::core {
@@ -124,18 +128,6 @@ TEST_F(RowKernels, ForwardMatchesFormula) {
   for (int i = 1; i <= n_; ++i) EXPECT_EQ(dst_.at(i, 2, 2), expected(i));
 }
 
-TEST_F(RowKernels, ReverseEqualsForward) {
-  Grid3 fwd(n_ + 2, 5, 5), rev(n_ + 2, 5, 5);
-  fwd.fill(0.0);
-  rev.fill(0.0);
-  jacobi_row(fwd.row(2, 2), src_.row(2, 2), src_.row(1, 2), src_.row(3, 2),
-             src_.row(2, 1), src_.row(2, 3), 1, n_ + 1);
-  jacobi_row_reverse(rev.row(2, 2), src_.row(2, 2), src_.row(1, 2),
-                     src_.row(3, 2), src_.row(2, 1), src_.row(2, 3), 1,
-                     n_ + 1);
-  EXPECT_EQ(max_abs_diff(fwd, rev), 0.0);
-}
-
 TEST_F(RowKernels, NontemporalEqualsRegular) {
   Grid3 nt(n_ + 2, 5, 5);
   nt.fill(0.0);
@@ -161,6 +153,53 @@ TEST_F(RowKernels, NontemporalHandlesUnalignedRanges) {
       EXPECT_EQ(max_abs_diff(a, b), 0.0) << i0 << " " << i1;
     }
   }
+}
+
+// ---- Box27Op in one allocation ---------------------------------------
+//
+// The compressed grid stores row (j, k) of a new level over the source row
+// (j+1, k+1) shifted by +1 (backward sweeps) resp. (j-1, k-1) shifted by
+// -1 (forward sweeps).  Box27Op reads that row as its kpjp resp. kmjm
+// corner row, so its row() must order its cells around the alias.
+
+/// Runs Box27Op::row for row (2, 2) with dst placed `dj` rows, `dk`
+/// planes and `di` cells away in the same grid, and checks cells
+/// [i0, i1) bit for bit against Box27Op::cell on an untouched copy.
+void expect_box27_alias_exact(int dj, int dk, int di, int i0, int i1) {
+  Grid3 g(24, 5, 5);
+  fill_test_pattern(g);
+  const Grid3 ref = g.clone();
+  const int j = 2, k = 2;
+  std::vector<double> want(static_cast<std::size_t>(i1));
+  for (int i = i0; i < i1; ++i)
+    want[static_cast<std::size_t>(i)] = Box27Op::cell(
+        ref.row(j, k), ref.row(j - 1, k), ref.row(j + 1, k),
+        ref.row(j, k - 1), ref.row(j, k + 1), ref.row(j - 1, k - 1),
+        ref.row(j + 1, k - 1), ref.row(j - 1, k + 1), ref.row(j + 1, k + 1),
+        i);
+  double* dst = g.row(j + dj, k + dk) + di;
+  Box27Op{}.row(dst, g.row(j, k), g.row(j - 1, k), g.row(j + 1, k),
+                g.row(j, k - 1), g.row(j, k + 1), 1, j, k, i0, i1);
+  EXPECT_EQ(std::memcmp(dst + i0, want.data() + i0,
+                        static_cast<std::size_t>(i1 - i0) * sizeof(double)),
+            0)
+      << "dst = row(" << j + dj << ", " << k + dk << ") + " << di
+      << ", cells [" << i0 << ", " << i1 << ")";
+}
+
+// Tail only, whole vector blocks, and blocks plus a tail at vector
+// widths 2 to 8; cells stay inside the row for both shifts.
+constexpr std::array<std::pair<int, int>, 5> kAliasRanges{
+    {{1, 2}, {1, 9}, {2, 13}, {1, 22}, {3, 20}}};
+
+TEST(Box27Alias, BackwardSweepAliasMatchesCopy) {
+  for (const auto& [i0, i1] : kAliasRanges)
+    expect_box27_alias_exact(+1, +1, +1, i0, i1);  // dst == kpjp + 1
+}
+
+TEST(Box27Alias, ForwardSweepAliasMatchesCopy) {
+  for (const auto& [i0, i1] : kAliasRanges)
+    expect_box27_alias_exact(-1, -1, -1, i0, i1);  // dst == kmjm - 1
 }
 
 }  // namespace

@@ -248,10 +248,6 @@ TEST(SolverSession, PoolKeySeparatesEveryConfigField) {
            [](SolverConfig& c) { c.baseline.block.bz += 1; }},
           {"nontemporal",
            [](SolverConfig& c) { c.baseline.nontemporal = false; }},
-          {"placement",
-           [](SolverConfig& c) {
-             c.baseline.placement = topo::PagePlacement::kRoundRobin;
-           }},
           {"wavefront.threads",
            [](SolverConfig& c) { c.wavefront.threads = 2; }},
           {"omega",

@@ -157,8 +157,6 @@ TEST_P(RowKernelRanges, AllJacobiRowFormsMatchScalar) {
 
   jacobi_row(dst, c, jm, jp, km, kp, i0, i1);
   check("forward");
-  jacobi_row_reverse(dst, c, jm, jp, km, kp, i0, i1);
-  check("reverse");
   jacobi_row_nt(dst, c, jm, jp, km, kp, i0, i1);
   nontemporal_fence();
   check("nontemporal");

@@ -373,7 +373,8 @@ TEST_P(CompressedChained, OddDepthKeepsTheAbsoluteLevel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ops, CompressedChained,
-                         ::testing::Values("jacobi", "redblack", "lbm"),
+                         ::testing::Values("jacobi", "redblack", "box27",
+                                           "lbm"),
                          [](const ::testing::TestParamInfo<const char*>& i) {
                            return std::string(i.param);
                          });
