@@ -75,6 +75,10 @@ class BlockPlan {
   /// sweeps, whose windows skew by +(s-1) instead of -(s-1).  The
   /// compressed-grid scheme alternates directions; the two-grid scheme is
   /// forward-only and uses the tighter unidirectional sizing.
+  ///
+  /// A block extent that covers the widest level clip of a dimension
+  /// makes that dimension one block wide (nb = 1), spanning the whole
+  /// skewed span; its windows are still clipped, so no window grows.
   BlockPlan(const BlockSize& bs, const std::vector<LevelClip>& clips,
             bool bidirectional = false)
       : bs_(bs), clips_(clips) {
@@ -84,6 +88,7 @@ class BlockPlan {
     for (int d = 0; d < 3; ++d) {
       int base = clips[0].lo[d];  // shift of level 1 is zero
       int max_end = clips[0].hi[d];
+      int widest = 0;  // widest level clip
       for (std::size_t idx = 0; idx < clips.size(); ++idx) {
         const int shift = static_cast<int>(idx);  // level s = idx+1
         // Forward windows: [base + b*B - shift, ...) must reach clip.
@@ -94,10 +99,14 @@ class BlockPlan {
           base = std::min(base, clips[idx].lo[d] - shift);
           max_end = std::max(max_end, clips[idx].hi[d] - shift);
         }
+        widest = std::max(widest, clips[idx].hi[d] - clips[idx].lo[d]);
       }
       base_[d] = base;
       const int span = max_end - base;
-      nb_[d] = span <= 0 ? 1 : (span + bs.dim(d) - 1) / bs.dim(d);
+      // Not a full block plus a sliver of up to 2(S-1) cells that would
+      // pay its own clearance wait and window set-up.
+      extent_[d] = bs.dim(d) >= widest ? std::max(span, bs.dim(d)) : bs.dim(d);
+      nb_[d] = span <= 0 ? 1 : (span + extent_[d] - 1) / extent_[d];
     }
   }
 
@@ -130,9 +139,9 @@ class BlockPlan {
     const int shift = forward ? (level - 1) : -(level - 1);
     Box w;
     for (int d = 0; d < 3; ++d) {
-      const int lo = base_[d] + b[d] * bs_.dim(d) - shift;
+      const int lo = base_[d] + b[d] * extent_[d] - shift;
       w.lo[d] = std::max(lo, c.lo[d]);
-      w.hi[d] = std::min(lo + bs_.dim(d), c.hi[d]);
+      w.hi[d] = std::min(lo + extent_[d], c.hi[d]);
     }
     return w;
   }
@@ -146,6 +155,7 @@ class BlockPlan {
   BlockSize bs_;
   std::vector<LevelClip> clips_;
   std::array<int, 3> base_{};
+  std::array<int, 3> extent_{};  ///< block extent used by window()
   std::array<int, 3> nb_{};
 };
 

@@ -104,15 +104,16 @@ struct WavefrontConfig {
   }
 
   /// The pipeline that runs this wavefront over nx*ny planes: one team
-  /// of `threads`, T = 1, blocks one plane thick and `threads` cells
-  /// wider than the plane in x and y, so the level-skewed windows still
-  /// fit one block per plane.  Default d_l/d_u, relaxed sync, two grids.
+  /// of `threads`, T = 1, blocks one full plane wide and one plane thick.
+  /// A block that covers the plane spans the level-skewed windows too
+  /// (BlockPlan), so every plane is one block.  Default d_l/d_u, relaxed
+  /// sync, two grids.
   [[nodiscard]] PipelineConfig pipeline(int nx, int ny) const {
     PipelineConfig p;
     p.teams = 1;
     p.team_size = threads;
     p.steps_per_thread = 1;
-    p.block = {nx + threads, ny + threads, 1};
+    p.block = {nx, ny, 1};
     return p;
   }
 };

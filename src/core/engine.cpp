@@ -5,23 +5,6 @@
 
 namespace tb::core {
 
-namespace {
-
-/// Spatial offsets of each pipeline stage for barrier mode: stage p trails
-/// stage p-1 by one block, plus the team delay d_t ahead of team fronts.
-std::vector<long long> make_barrier_offsets(const PipelineConfig& cfg) {
-  std::vector<long long> off(static_cast<std::size_t>(cfg.total_threads()));
-  off[0] = 0;
-  for (int p = 1; p < cfg.total_threads(); ++p) {
-    const bool team_front = (p % cfg.team_size == 0);
-    off[static_cast<std::size_t>(p)] =
-        off[static_cast<std::size_t>(p - 1)] + 1 + (team_front ? cfg.dt : 0);
-  }
-  return off;
-}
-
-}  // namespace
-
 PipelineEngine::PipelineEngine(const PipelineConfig& cfg, BlockPlan plan)
     : cfg_(cfg),
       plan_(std::move(plan)),
@@ -29,7 +12,8 @@ PipelineEngine::PipelineEngine(const PipelineConfig& cfg, BlockPlan plan)
       counters_(cfg.total_threads()),
       bounds_(make_distance_bounds(cfg.teams, cfg.team_size, cfg.dl, cfg.du,
                                    cfg.dt)),
-      barrier_offsets_(make_barrier_offsets(cfg)) {
+      barrier_offsets_(
+          make_barrier_offsets(cfg.teams, cfg.team_size, cfg.dt)) {
   cfg_.validate();
   if (plan_.levels() != cfg_.levels_per_sweep())
     throw std::invalid_argument(

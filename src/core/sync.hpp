@@ -152,32 +152,58 @@ struct DistanceBounds {
   return out;
 }
 
+/// Spatial offsets of each pipeline stage in barrier mode, in barrier
+/// steps: stage p trails stage p-1 by one block, plus the team delay d_t
+/// ahead of every team's front thread.
+[[nodiscard]] inline std::vector<long long> make_barrier_offsets(
+    int teams, int team_size, int dt) {
+  const int total = teams * team_size;
+  std::vector<long long> off(static_cast<std::size_t>(total), 0);
+  for (int p = 1; p < total; ++p) {
+    const bool team_front = (p % team_size == 0);
+    off[static_cast<std::size_t>(p)] =
+        off[static_cast<std::size_t>(p - 1)] + 1 + (team_front ? dt : 0);
+  }
+  return off;
+}
+
+/// Eq. (3)'s first condition for a thread that has completed `done` of
+/// `total` blocks while its predecessor has completed `prev`: c_{i-1} -
+/// c_i >= d_l.  A predecessor that has already finished the whole sweep
+/// (prev == total) clears it regardless of distance: all its writes are
+/// complete, and with d_l + d_t > 1 the strict distance could never be
+/// met near the end of the block sequence (the counter saturates at
+/// `total`).  The overall front thread does not check it.
+[[nodiscard]] inline bool lower_clear(const DistanceBounds& b, long long prev,
+                                      long long done, long long total) {
+  return prev - done >= b.dl || prev >= total;
+}
+
+/// Eq. (3)'s second condition against the successor's count `next`:
+/// c_i - c_{i+1} <= d_u.  The overall rear thread does not check it.
+[[nodiscard]] inline bool upper_clear(const DistanceBounds& b, long long done,
+                                      long long next) {
+  return done - next <= b.du;
+}
+
 /// Blocks until thread `p`, having completed `done` of `total` blocks, may
 /// start its next block under the relaxed-synchronization conditions
-/// (Eq. (3)).  A predecessor that has already finished the whole sweep
-/// (counter == total) clears the lower condition regardless of distance:
-/// all its writes are complete, and with d_l + d_t > 1 the strict distance
-/// could never be met near the end of the block sequence (the counter
-/// saturates at `total`).
+/// (Eq. (3)).  sim::simulate_pipeline decides clearance with the same
+/// two predicates.
 inline void wait_for_clearance(const ProgressCounters& counters,
                                const std::vector<DistanceBounds>& bounds,
                                int p, long long done, long long total) {
   const DistanceBounds& b = bounds[static_cast<std::size_t>(p)];
   Backoff backoff;
-  if (b.check_lower) {
-    for (;;) {
-      const long long prev = counters.load(p - 1);
-      if (prev - done >= b.dl || prev >= total) break;
+  if (b.check_lower)
+    while (!lower_clear(b, counters.load(p - 1), done, total))
       backoff.pause();
-    }
-  }
   backoff.reset();
   // The successor bound: p + 1 < size() always holds when check_upper is
   // set (the overall rear thread has check_upper == false); spelling it out
   // keeps GCC's inliner from flagging a phantom out-of-bounds atomic load.
-  if (b.check_upper && p + 1 < counters.size()) {
-    while (done - counters.load(p + 1) > b.du) backoff.pause();
-  }
+  if (b.check_upper && p + 1 < counters.size())
+    while (!upper_clear(b, done, counters.load(p + 1))) backoff.pause();
 }
 
 }  // namespace tb::core

@@ -3,12 +3,15 @@
 // schedule:
 //
 //  * the executing solver (distributed_jacobi.hpp) cuts its rank-local
-//    windows, level clips and exchange slabs from it,
-//  * the rank-program builder (rank_program.hpp) derives the modeled
-//    compute/send/recv sequence the discrete-event engine replays from
-//    the identical boxes — which is what makes the event engine's epoch
-//    times agree with the executing thread-backed World to within
-//    floating-point noise instead of "roughly".
+//    windows and level clips from it, and walks halo_plan() — one
+//    epoch's exchange as a list of messages in posting order — every
+//    epoch,
+//  * the rank-program builder (rank_program.hpp) emits its send/recv ops
+//    from the identical sequential plan, so bytes, tags and op order
+//    agree with the executing solver by construction — which is what
+//    makes the event engine's epoch times agree with the executing
+//    thread-backed World to within floating-point noise instead of
+//    "roughly".
 //
 // One Decomposition describes the whole world (global grid, process grid,
 // halo depth); RankGeometry is the per-rank slice.  All index conventions
@@ -36,15 +39,6 @@ struct RankGeometry {
   std::array<int, 3> local_n{};      ///< local extents (own + 2*halo)
   std::array<int, 3> neighbor_lo{-1, -1, -1};  ///< rank below, -1 if none
   std::array<int, 3> neighbor_hi{-1, -1, -1};  ///< rank above, -1 if none
-
-  [[nodiscard]] bool has_neighbor(int d, int side) const {
-    return (side == 0 ? neighbor_lo[static_cast<std::size_t>(d)]
-                      : neighbor_hi[static_cast<std::size_t>(d)]) >= 0;
-  }
-  [[nodiscard]] int neighbor(int d, int side) const {
-    return side == 0 ? neighbor_lo[static_cast<std::size_t>(d)]
-                     : neighbor_hi[static_cast<std::size_t>(d)];
-  }
 };
 
 /// Axis-aligned local-index box [lo, hi).
@@ -58,6 +52,23 @@ struct Box3 {
            static_cast<std::size_t>(hi[2] - lo[2]);
   }
 };
+
+/// One message of an epoch's halo exchange: the owned box this rank packs
+/// and sends to `peer` under `send_tag`, and the ghost box it receives
+/// from `peer` under `recv_tag` and unpacks.  `peer` tags its own message
+/// with the direction seen from its side, so `recv_tag` is the tag of
+/// the opposite direction.
+struct HaloMessage {
+  int phase = 0;  ///< 0, 1, 2 = x, y, z (sequential); 0 (direct)
+  int peer = -1;
+  int send_tag = 0;
+  int recv_tag = 0;
+  Box3 send;
+  Box3 recv;
+};
+
+/// Phases of one epoch's halo plan: x, y, z sequentially, one direct.
+[[nodiscard]] constexpr int halo_phases(bool direct) { return direct ? 1 : 3; }
 
 class Decomposition {
  public:
@@ -167,11 +178,73 @@ class Decomposition {
     return cells;
   }
 
-  /// Transverse extents of the slab exchanged along dimension d in the
-  /// sequential x -> y -> z scheme: dimensions already exchanged (e < d)
-  /// span the refreshed full ghost extent where a neighbour exists, the
-  /// rest span the owned cells plus the physical boundary layer.  The
-  /// d-extent of the returned box is unset; send_box/recv_box fill it.
+  /// One epoch's halo exchange of rank `g`, in posting order.  Each
+  /// phase posts all of its sends, then takes all of its receives.
+  ///
+  /// Sequential (the paper's Sec. 2.1 scheme): three face phases
+  /// x -> y -> z of at most two slabs each.  The slab of phase d spans
+  /// the ghost extents that phases < d already refreshed, which carries
+  /// edge and corner data in two respectively three hops — 6 messages
+  /// per interior rank.
+  ///
+  /// Direct (`direct`): one phase of up to 26 face, edge and corner boxes,
+  /// each sent straight to its (possibly diagonal) neighbour.  Its recv
+  /// boxes cover exactly the ghost cells of the sequential plan.
+  [[nodiscard]] std::vector<HaloMessage> halo_plan(const RankGeometry& g,
+                                                   bool direct) const {
+    std::vector<HaloMessage> plan;
+    plan.reserve(direct ? 26 : 6);
+    // v is the direction from this rank to the peer; tags 0..26 number
+    // the direction vectors, below DistributedStencil's gather tags.
+    const auto tag = [](const std::array<int, 3>& v) {
+      return (v[0] + 1) + 3 * (v[1] + 1) + 9 * (v[2] + 1);
+    };
+    const auto post = [&](int phase, const std::array<int, 3>& v) {
+      std::array<int, 3> c = g.coords;
+      for (std::size_t d = 0; d < 3; ++d) {
+        c[d] += v[d];
+        if (c[d] < 0 || c[d] >= proc_dims_[d]) return;
+      }
+      HaloMessage m;
+      m.phase = phase;
+      m.peer = topo_.rank_of(c);
+      m.send_tag = tag(v);
+      m.recv_tag = tag({-v[0], -v[1], -v[2]});
+      m.send = m.recv = exchange_base_box(g, direct ? 0 : phase);
+      for (std::size_t d = 0; d < 3; ++d) {
+        if (v[d] == 0) continue;
+        // The outermost `halo` owned layers facing the peer go out; the
+        // `halo` ghost layers beyond that face come in.
+        m.send.lo[d] = v[d] < 0 ? halo_ : g.own[d];
+        m.recv.lo[d] = v[d] < 0 ? 0 : halo_ + g.own[d];
+        m.send.hi[d] = m.send.lo[d] + halo_;
+        m.recv.hi[d] = m.recv.lo[d] + halo_;
+      }
+      plan.push_back(m);
+    };
+    if (direct) {
+      for (int vz = -1; vz <= 1; ++vz)
+        for (int vy = -1; vy <= 1; ++vy)
+          for (int vx = -1; vx <= 1; ++vx)
+            if (vx != 0 || vy != 0 || vz != 0) post(0, {vx, vy, vz});
+    } else {
+      for (int d = 0; d < 3; ++d)
+        for (int side = -1; side <= 1; side += 2) {
+          std::array<int, 3> v{0, 0, 0};
+          v[static_cast<std::size_t>(d)] = side;
+          post(d, v);
+        }
+    }
+    return plan;
+  }
+
+ private:
+  /// Transverse extents of the boxes exchanged in phase d of the
+  /// sequential plan: dimensions already exchanged (e < d) span the
+  /// refreshed full ghost extent where a neighbour exists, the rest span
+  /// the owned cells plus the physical boundary layer.  Phase 0's box is
+  /// the direct plan's.  halo_plan() sets the extents along the message
+  /// direction.
   [[nodiscard]] Box3 exchange_base_box(const RankGeometry& g, int d) const {
     Box3 b;
     for (int e = 0; e < 3; ++e) {
@@ -189,27 +262,6 @@ class Decomposition {
     return b;
   }
 
-  /// Slab this rank sends to its side-`side` (0 = lo, 1 = hi) neighbour
-  /// along dimension d: the outermost `halo` owned layers.
-  [[nodiscard]] Box3 send_box(const RankGeometry& g, int d, int side) const {
-    Box3 b = exchange_base_box(g, d);
-    const std::size_t du = static_cast<std::size_t>(d);
-    b.lo[du] = side == 0 ? halo_ : g.own[du];
-    b.hi[du] = b.lo[du] + halo_;
-    return b;
-  }
-
-  /// Ghost slab this rank receives from its side-`side` neighbour along
-  /// dimension d.
-  [[nodiscard]] Box3 recv_box(const RankGeometry& g, int d, int side) const {
-    Box3 b = exchange_base_box(g, d);
-    const std::size_t du = static_cast<std::size_t>(d);
-    b.lo[du] = side == 0 ? 0 : halo_ + g.own[du];
-    b.hi[du] = b.lo[du] + halo_;
-    return b;
-  }
-
- private:
   std::array<int, 3> global_n_;
   std::array<int, 3> proc_dims_;
   int halo_;

@@ -30,10 +30,15 @@
 //
 // Timing: data movement is real; *time* is simulated.  Communication
 // advances the per-rank clocks through the NetworkModel; computation is
-// charged via Comm::compute() at a modeled proc_lups rate.  In overlap
-// mode sends are non-blocking and the inner-cell computation is charged
-// before the ghost receives, so the receive wait absorbs the inner work —
-// the paper's Sec. 3 outlook.
+// charged via Comm::compute() at a modeled proc_lups rate.  Every epoch
+// walks one Decomposition::halo_plan() built at construction: the
+// sequential x -> y -> z plan (6 messages per interior rank), or with
+// DistConfig::overlap the direct plan of up to 26 face, edge and corner
+// messages.  In overlap mode sends are non-blocking and the inner-cell
+// computation is charged before the ghost receives, so the receive wait
+// absorbs the inner work — the paper's Sec. 3 outlook.  Only the clock
+// sees that overlap: the real sweep still starts after every ghost has
+// arrived.
 #pragma once
 
 #include <algorithm>
@@ -42,7 +47,6 @@
 #include <optional>
 #include <stdexcept>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/grid.hpp"
@@ -116,15 +120,13 @@ class DistributedStencil {
     if (comm.size() != decomp_.ranks())
       throw std::invalid_argument("CartTopology: dims product != ranks");
     geom_ = decomp_.geometry(comm.rank());
-    own_lo_ = geom_.own_lo;
-    own_ = geom_.own;
-    local_n_ = geom_.local_n;
-    neighbor_lo_ = geom_.neighbor_lo;
-    neighbor_hi_ = geom_.neighbor_hi;
+    plan_ = decomp_.halo_plan(geom_, cfg.overlap);
+    const std::array<int, 3>& own_lo = geom_.own_lo;
+    const std::array<int, 3>& local_n = geom_.local_n;
 
     // Global index of local cell (0, 0, 0).
-    const std::array<int, 3> origin{own_lo_[0] - halo_, own_lo_[1] - halo_,
-                                    own_lo_[2] - halo_};
+    const std::array<int, 3> origin{own_lo[0] - halo_, own_lo[1] - halo_,
+                                    own_lo[2] - halo_};
 
     // Both grids start as the local window of the global initial state:
     // the Dirichlet boundary must be present in both (levels alternate
@@ -132,8 +134,8 @@ class DistributedStencil {
     // One touch_pages pass writes both, round-robin over the rank's team
     // threads: the placement StencilSolver gives pipelined grids, since
     // every team thread updates every block (Sec. 1.3).
-    a_ = core::Grid3(local_n_[0], local_n_[1], local_n_[2]);
-    b_ = core::Grid3(local_n_[0], local_n_[1], local_n_[2]);
+    a_ = core::Grid3(local_n[0], local_n[1], local_n[2]);
+    b_ = core::Grid3(local_n[0], local_n[1], local_n[2]);
     topo::touch_pages({a_.data(), b_.data()}, a_.size(), kPlacement,
                       cfg.pipeline.total_threads(),
                       core::window_source(global_initial, a_, origin));
@@ -153,7 +155,7 @@ class DistributedStencil {
       // ghost-layer updates down to depth 1 — depend only on kappa values
       // inside this window.  The rank's team cuts the window and fills
       // the coefficients (bits unchanged).
-      core::Grid3 kappa(local_n_[0], local_n_[1], local_n_[2]);
+      core::Grid3 kappa(local_n[0], local_n[1], local_n[2]);
       topo::touch_pages({kappa.data()}, kappa.size(), kPlacement,
                         cfg.pipeline.total_threads(),
                         core::window_source(*global_aux, kappa, origin));
@@ -170,7 +172,7 @@ class DistributedStencil {
       // be left behind in the exchange.
       core::StateWindowSpec spec;
       spec.global_n = global_n_;
-      spec.local_n = local_n_;
+      spec.local_n = local_n;
       spec.origin = origin;
       state_.emplace(spec, a_, global_aux, state_params());
       solver_.emplace(cfg.pipeline, level_clips(), state_->op());
@@ -181,7 +183,7 @@ class DistributedStencil {
       // (base levels are already absolute — base_level_ — so the
       // LevelOrigin stays null.)
       core::RedBlackOp op;
-      op.parity = ((own_lo_[0] + own_lo_[1] + own_lo_[2] - 3 * halo_) %
+      op.parity = ((own_lo[0] + own_lo[1] + own_lo[2] - 3 * halo_) %
                        2 +
                    2) %
                   2;
@@ -209,11 +211,7 @@ class DistributedStencil {
       // base-level carrier plus every state field the operator declares
       // at the base level (the base parity changes with base_level_, so
       // the list is rebuilt per epoch).
-      const std::vector<core::Grid3*> grids = exchange_grids();
-      if (cfg_.overlap)
-        exchange_halos_overlapped(grids, inner);
-      else
-        exchange_halos_sequential(grids);
+      exchange_halos(exchange_grids(), inner);
       comm_.compute(full - inner);
       solver_->run(a_, b_, 1, base_level_);
       base_level_ += halo_;
@@ -289,7 +287,7 @@ class DistributedStencil {
 
   [[nodiscard]] int halo() const { return halo_; }
   [[nodiscard]] const std::array<int, 3>& owned_extent() const {
-    return own_;
+    return geom_.own;
   }
 
  private:
@@ -303,13 +301,6 @@ class DistributedStencil {
   static constexpr int kGatherTag = 64;
   static constexpr int kStateGatherTag = 65;
 
-  /// Balanced partition of the global interior along dimension d —
-  /// delegated to Decomposition, the single source of truth shared with
-  /// the rank-program builder.
-  [[nodiscard]] std::pair<int, int> owned_range(int d, int c) const {
-    return decomp_.owned_range(d, c);
-  }
-
   /// Collects the owned cells of this rank's grids `src` into the
   /// global-shape grids `dst` on the root (`dst` is empty elsewhere):
   /// every other rank sends one field-major message, and the root
@@ -318,30 +309,30 @@ class DistributedStencil {
   void gather_fields(const std::vector<core::Grid3*>& src,
                      const std::vector<core::Grid3*>& dst, int tag,
                      int root) {
-    const std::array<int, 3> own_lo{halo_, halo_, halo_};
-    const std::array<int, 3> own_hi{halo_ + own_[0], halo_ + own_[1],
-                                    halo_ + own_[2]};
+    const Box3 owned{{halo_, halo_, halo_},
+                     {halo_ + geom_.own[0], halo_ + geom_.own[1],
+                      halo_ + geom_.own[2]}};
     std::vector<double> buf;
     if (comm_.rank() != root) {
-      pack(src, own_lo, own_hi, buf);
+      pack(src, owned, buf);
       comm_.send(root, tag, buf);
       return;
     }
     for (int r = 0; r < comm_.size(); ++r) {
-      std::array<int, 3> lo, hi;
+      Box3 global;  // rank r's owned cells in global indices
       for (int d = 0; d < 3; ++d) {
         const auto [first, count] =
-            owned_range(d, decomp_.topology().coords_of(r)[d]);
-        lo[d] = first;
-        hi[d] = first + count;
+            decomp_.owned_range(d, decomp_.topology().coords_of(r)[d]);
+        global.lo[d] = first;
+        global.hi[d] = first + count;
       }
       if (r == root) {
-        pack(src, own_lo, own_hi, buf);
+        pack(src, owned, buf);
       } else {
-        buf.resize(box_cells(lo, hi) * src.size());
+        buf.resize(global.cells() * src.size());
         comm_.recv(r, tag, buf);
       }
-      unpack(dst, lo, hi, buf);
+      unpack(dst, global, buf);
     }
   }
 
@@ -382,179 +373,84 @@ class DistributedStencil {
            cfg_.proc_lups;
   }
 
-  /// Multi-layer halo exchange of the base-level grids, x -> y -> z.  The
-  /// slab sent along dimension d spans the already-refreshed full extents
-  /// of dimensions < d, which carries edge and corner data in 2-3 hops —
-  /// 6 messages per interior rank per epoch, the paper's scheme.  All
-  /// exchanged fields of one face travel aggregated in one message, so
-  /// the message count is operator-independent and only the bytes scale
-  /// with the operator's state width.
-  void exchange_halos_sequential(const std::vector<core::Grid3*>& grids) {
-    // Per-dimension telemetry: exchange time, halo bytes and message
-    // counts, aggregated across all ranks (ranks are threads here, the
+  /// One epoch's halo exchange of the base-level grids: walks plan_
+  /// phase by phase — pack and send every message of the phase (isend
+  /// when overlapped), charge the inner-cell computation between the
+  /// sends and the receives when overlapped (where a real overlapped
+  /// implementation would perform it), then receive and unpack.  All
+  /// exchanged fields of one box travel aggregated in one message, so the
+  /// message count is operator-independent and only the bytes scale with
+  /// the operator's state width.  The direct plan fills exactly the ghost
+  /// cells of the sequential one with the same base-level doubles
+  /// (corners travel directly instead of in two hops), so the result is
+  /// bit-identical either way.
+  void exchange_halos(const std::vector<core::Grid3*>& grids,
+                      double inner_seconds) {
+    // Per-phase telemetry: exchange time, halo bytes and message counts,
+    // aggregated across all ranks (ranks are threads here, the
     // registry's counters are atomic).
-    static constexpr const char* kDimSpan[3] = {
+    static constexpr const char* kPhaseSpan[3] = {
         "dist.exchange.x", "dist.exchange.y", "dist.exchange.z"};
-    static constexpr const char* kDimBytes[3] = {
+    static constexpr const char* kPhaseBytes[3] = {
         "dist.halo.bytes.x", "dist.halo.bytes.y", "dist.halo.bytes.z"};
+    const bool overlap = cfg_.overlap;
     const bool tel = obs::enabled();
     obs::Registry& reg = obs::Registry::global();
     obs::Histogram* exch_h =
         tel ? &reg.histogram("dist.exchange.seconds") : nullptr;
     obs::Counter* msgs = tel ? &reg.counter("dist.halo.messages") : nullptr;
-    for (int d = 0; d < 3; ++d) {
+    std::vector<double> buf;
+    for (int phase = 0; phase < halo_phases(overlap); ++phase) {
       obs::ScopedTimer st(exch_h);
-      obs::Span span(kDimSpan[d], "dist");
-      obs::Counter* bytes = tel ? &reg.counter(kDimBytes[d]) : nullptr;
-      // Post both sends first (buffered/eager, so this never deadlocks),
-      // then receive.  Tags encode (dimension, direction).  The slab
-      // boxes come from Decomposition — the identical boxes the
-      // rank-program builder prices, which is what keeps the modeled
-      // bytes of the event engine equal to the executed bytes here.
-      for (int side = 0; side < 2; ++side) {
-        const int nb = side == 0 ? neighbor_lo_[d] : neighbor_hi_[d];
-        if (nb < 0) continue;
-        const Box3 s = decomp_.send_box(geom_, d, side);
-        std::vector<double> buf;
-        pack(grids, s.lo, s.hi, buf);
-        comm_.send(nb, face_tag(d, side), buf);
+      obs::Span span(overlap ? "dist.exchange.overlap" : kPhaseSpan[phase],
+                     "dist");
+      obs::Counter* bytes =
+          tel ? &reg.counter(overlap ? "dist.halo.bytes.overlap"
+                                     : kPhaseBytes[phase])
+              : nullptr;
+      // Sends are buffered/eager, so posting all of them before the
+      // first receive never deadlocks.
+      for (const HaloMessage& m : plan_) {
+        if (m.phase != phase) continue;
+        pack(grids, m.send, buf);
+        if (overlap)
+          comm_.isend(m.peer, m.send_tag, buf);
+        else
+          comm_.send(m.peer, m.send_tag, buf);
         if (tel) {
           bytes->add(buf.size() * sizeof(double));
           msgs->add(1);
         }
       }
-      for (int side = 0; side < 2; ++side) {
-        const int nb = side == 0 ? neighbor_lo_[d] : neighbor_hi_[d];
-        if (nb < 0) continue;
-        const Box3 r = decomp_.recv_box(geom_, d, side);
-        std::vector<double> buf(r.cells() * grids.size());
-        comm_.recv(nb, face_tag(d, 1 - side), buf);
-        unpack(grids, r.lo, r.hi, buf);
+      if (overlap) comm_.compute(inner_seconds);
+      for (const HaloMessage& m : plan_) {
+        if (m.phase != phase) continue;
+        buf.resize(m.recv.cells() * grids.size());
+        comm_.recv(m.peer, m.recv_tag, buf);
+        unpack(grids, m.recv, buf);
       }
     }
   }
 
-  /// Overlapped exchange: every face, edge and corner box goes to its
-  /// neighbour as an independent non-blocking message, so no wire time
-  /// serializes behind another dimension's receive; the inner-cell
-  /// computation is charged between the sends and the receives, where a
-  /// real overlapped implementation would perform it.  The ghost region
-  /// receives exactly the same base-level doubles as the sequential
-  /// scheme (corner data travels directly instead of in two hops), so the
-  /// result stays bit-identical.
-  void exchange_halos_overlapped(const std::vector<core::Grid3*>& grids,
-                                 double inner_seconds) {
-    const bool tel = obs::enabled();
-    obs::Registry& reg = obs::Registry::global();
-    obs::ScopedTimer st(
-        tel ? &reg.histogram("dist.exchange.seconds") : nullptr);
-    obs::Span span("dist.exchange.overlap", "dist");
-    obs::Counter* bytes =
-        tel ? &reg.counter("dist.halo.bytes.overlap") : nullptr;
-    obs::Counter* msgs = tel ? &reg.counter("dist.halo.messages") : nullptr;
-    std::vector<std::array<int, 3>> dirs;
-    for (int vz = -1; vz <= 1; ++vz)
-      for (int vy = -1; vy <= 1; ++vy)
-        for (int vx = -1; vx <= 1; ++vx) {
-          const std::array<int, 3> v{vx, vy, vz};
-          if (v == std::array<int, 3>{0, 0, 0}) continue;
-          if (diag_neighbor(v) >= 0) dirs.push_back(v);
-        }
-    for (const auto& v : dirs) {
-      std::array<int, 3> lo, hi;
-      for (int d = 0; d < 3; ++d) {
-        if (v[d] > 0) {  // our topmost owned layers
-          lo[d] = own_[d];
-          hi[d] = own_[d] + halo_;
-        } else if (v[d] < 0) {  // our bottommost owned layers
-          lo[d] = halo_;
-          hi[d] = 2 * halo_;
-        } else {  // owned cells plus the physical boundary layer
-          lo[d] = neighbor_lo_[d] >= 0 ? halo_ : halo_ - 1;
-          hi[d] = neighbor_hi_[d] >= 0 ? halo_ + own_[d]
-                                       : halo_ + own_[d] + 1;
-        }
-      }
-      std::vector<double> buf;
-      pack(grids, lo, hi, buf);
-      comm_.isend(diag_neighbor(v), dir_tag(v), buf);
-      if (tel) {
-        bytes->add(buf.size() * sizeof(double));
-        msgs->add(1);
-      }
-    }
-    comm_.compute(inner_seconds);
-    for (const auto& v : dirs) {
-      std::array<int, 3> lo, hi;
-      for (int d = 0; d < 3; ++d) {
-        if (v[d] > 0) {  // ghost region beyond our top face
-          lo[d] = halo_ + own_[d];
-          hi[d] = halo_ + own_[d] + halo_;
-        } else if (v[d] < 0) {  // ghost region below our bottom face
-          lo[d] = 0;
-          hi[d] = halo_;
-        } else {
-          lo[d] = neighbor_lo_[d] >= 0 ? halo_ : halo_ - 1;
-          hi[d] = neighbor_hi_[d] >= 0 ? halo_ + own_[d]
-                                       : halo_ + own_[d] + 1;
-        }
-      }
-      std::vector<double> buf(box_cells(lo, hi) * grids.size());
-      // The neighbour tagged its message with the direction from *its*
-      // perspective, which is -v.
-      comm_.recv(diag_neighbor(v), dir_tag({-v[0], -v[1], -v[2]}), buf);
-      unpack(grids, lo, hi, buf);
-    }
-  }
-
-  /// Rank of the (possibly diagonal) neighbour offset by `v`; -1 if it
-  /// falls outside the process grid.
-  [[nodiscard]] int diag_neighbor(const std::array<int, 3>& v) const {
-    std::array<int, 3> c = geom_.coords;
-    for (int d = 0; d < 3; ++d) {
-      c[d] += v[d];
-      if (c[d] < 0 || c[d] >= cfg_.proc_dims[d]) return -1;
-    }
-    return decomp_.topology().rank_of(c);
-  }
-
-  [[nodiscard]] static int face_tag(int d, int side) { return d * 2 + side; }
-
-  /// Tags 10..36: base-3 encoding of the direction vector, disjoint from
-  /// the face tags (0..5) and the gather tag.
-  [[nodiscard]] static int dir_tag(const std::array<int, 3>& v) {
-    return 10 + (v[0] + 1) + 3 * (v[1] + 1) + 9 * (v[2] + 1);
-  }
-
-  [[nodiscard]] static std::size_t box_cells(const std::array<int, 3>& lo,
-                                             const std::array<int, 3>& hi) {
-    return static_cast<std::size_t>(hi[0] - lo[0]) *
-           static_cast<std::size_t>(hi[1] - lo[1]) *
-           static_cast<std::size_t>(hi[2] - lo[2]);
-  }
-
-  /// Serializes the box [lo, hi) of every grid, field-major (all cells of
+  /// Serializes the box `b` of every grid, field-major (all cells of
   /// grid 0, then grid 1, ...).  unpack() must mirror the order exactly.
-  static void pack(const std::vector<core::Grid3*>& grids,
-                   const std::array<int, 3>& lo,
-                   const std::array<int, 3>& hi, std::vector<double>& buf) {
-    buf.resize(box_cells(lo, hi) * grids.size());
+  static void pack(const std::vector<core::Grid3*>& grids, const Box3& b,
+                   std::vector<double>& buf) {
+    buf.resize(b.cells() * grids.size());
     std::size_t p = 0;
     for (const core::Grid3* g : grids)
-      for (int k = lo[2]; k < hi[2]; ++k)
-        for (int j = lo[1]; j < hi[1]; ++j)
-          for (int i = lo[0]; i < hi[0]; ++i) buf[p++] = g->at(i, j, k);
+      for (int k = b.lo[2]; k < b.hi[2]; ++k)
+        for (int j = b.lo[1]; j < b.hi[1]; ++j)
+          for (int i = b.lo[0]; i < b.hi[0]; ++i) buf[p++] = g->at(i, j, k);
   }
 
-  static void unpack(const std::vector<core::Grid3*>& grids,
-                     const std::array<int, 3>& lo,
-                     const std::array<int, 3>& hi,
+  static void unpack(const std::vector<core::Grid3*>& grids, const Box3& b,
                      const std::vector<double>& buf) {
     std::size_t p = 0;
     for (core::Grid3* g : grids)
-      for (int k = lo[2]; k < hi[2]; ++k)
-        for (int j = lo[1]; j < hi[1]; ++j)
-          for (int i = lo[0]; i < hi[0]; ++i) g->at(i, j, k) = buf[p++];
+      for (int k = b.lo[2]; k < b.hi[2]; ++k)
+        for (int j = b.lo[1]; j < b.hi[1]; ++j)
+          for (int i = b.lo[0]; i < b.hi[0]; ++i) g->at(i, j, k) = buf[p++];
   }
 
   simnet::Comm& comm_;
@@ -563,12 +459,7 @@ class DistributedStencil {
   std::array<int, 3> global_n_;
   Decomposition decomp_;  ///< shared geometry (also the rank-program source)
   RankGeometry geom_;     ///< this rank's slice of decomp_
-  // Convenience copies of geom_ kept for the hot index arithmetic below.
-  std::array<int, 3> own_lo_{};    ///< global index of first owned cell
-  std::array<int, 3> own_{};       ///< owned cells per dimension
-  std::array<int, 3> local_n_{};   ///< local grid extents (own + 2h)
-  std::array<int, 3> neighbor_lo_{-1, -1, -1};
-  std::array<int, 3> neighbor_hi_{-1, -1, -1};
+  std::vector<HaloMessage> plan_;  ///< one epoch's exchange, walked by advance
   core::Grid3 a_, b_;
   int base_level_ = 0;
   std::optional<core::DiffusionCoefficients> coeffs_;  // varcoef only

@@ -136,14 +136,8 @@ class PipelineSim {
       threads_[static_cast<std::size_t>(p)].team = p / cfg.team_size;
       threads_[static_cast<std::size_t>(p)].socket = p / cfg.team_size;
     }
-    if (barrier_mode_) {
-      offsets_.resize(static_cast<std::size_t>(P));
-      offsets_[0] = 0;
-      for (int p = 1; p < P; ++p)
-        offsets_[static_cast<std::size_t>(p)] =
-            offsets_[static_cast<std::size_t>(p - 1)] + 1 +
-            (p % cfg.team_size == 0 ? cfg.dt : 0);
-    }
+    if (barrier_mode_)
+      offsets_ = core::make_barrier_offsets(cfg.teams, cfg.team_size, cfg.dt);
   }
 
   SimResult run(int sweeps) {
@@ -305,19 +299,14 @@ class PipelineSim {
         if (other.counter < t.counter) return false;
       return true;
     }
+    // Eq. (3) through the engine's own predicates (core/sync.hpp).
     const auto& b = bounds_[static_cast<std::size_t>(t.p)];
-    if (b.check_lower) {
-      const long long prev =
-          threads_[static_cast<std::size_t>(t.p - 1)].counter;
-      // A finished predecessor clears the condition (see core/sync.hpp).
-      if (prev - t.counter < b.dl && prev < total_steps()) return false;
-    }
-    if (b.check_upper) {
-      const long long next =
-          threads_[static_cast<std::size_t>(t.p + 1)].counter;
-      if (t.counter - next > b.du) return false;
-    }
-    return true;
+    const auto count = [&](int p) {
+      return threads_[static_cast<std::size_t>(p)].counter;
+    };
+    return (!b.check_lower ||
+            core::lower_clear(b, count(t.p - 1), t.counter, total_steps())) &&
+           (!b.check_upper || core::upper_clear(b, t.counter, count(t.p + 1)));
   }
 
   void try_start(ThreadSim& t, double now) {

@@ -2,8 +2,12 @@
 // primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "core/blocks.hpp"
 #include "core/config.hpp"
@@ -72,6 +76,77 @@ INSTANTIATE_TEST_SUITE_P(
                       PlanCase{{100, 100, 100}, 10, 10, 10, 2},
                       PlanCase{{7, 2, 9}, 23, 8, 31, 8},
                       PlanCase{{3, 3, 3}, 9, 14, 7, 12}));
+
+/// Every cell of every level's clip lies in exactly one window, for both
+/// sweep directions the plan serves.
+void expect_cover_once(const BlockPlan& plan, bool bidirectional) {
+  for (const bool forward : {true, false}) {
+    if (!forward && !bidirectional) continue;
+    for (int level = 1; level <= plan.levels(); ++level) {
+      const LevelClip& clip = plan.clip(level);
+      std::map<std::array<int, 3>, int> hits;
+      for (long long c = 0; c < plan.num_blocks(); ++c) {
+        const Box w = plan.window(c, level, forward);
+        for (int k = w.lo[2]; k < w.hi[2]; ++k)
+          for (int j = w.lo[1]; j < w.hi[1]; ++j)
+            for (int i = w.lo[0]; i < w.hi[0]; ++i) ++hits[{i, j, k}];
+      }
+      long long clip_cells = 1;
+      for (std::size_t d = 0; d < 3; ++d)
+        clip_cells *= std::max(0, clip.hi[d] - clip.lo[d]);
+      EXPECT_EQ(static_cast<long long>(hits.size()), clip_cells)
+          << "level " << level << " forward=" << forward;
+      for (const auto& [cell, n] : hits) {
+        EXPECT_EQ(n, 1) << "level " << level << " forward=" << forward;
+        for (std::size_t d = 0; d < 3; ++d) {
+          EXPECT_GE(cell[d], clip.lo[d]);
+          EXPECT_LT(cell[d], clip.hi[d]);
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockPlan, BlockCoveringTheClipIsOneBlock) {
+  // bx = n covers the interior clip n - 2 but not the skewed span (the
+  // clip plus S - 1 cells forward, plus 2(S - 1) bidirectional): the
+  // plan must still make the row one block, not a block and a sliver.
+  const int n = 20, levels = 8;
+  for (const bool bidirectional : {false, true})
+    for (const int bx : {n - 2, n, n + 3}) {
+      const BlockPlan plan({bx, 4, 4}, interior_clips(n, n, n, levels),
+                           bidirectional);
+      EXPECT_EQ(plan.nb(0), 1) << "bx=" << bx;
+      EXPECT_GT(plan.nb(1), 1);
+      expect_cover_once(plan, bidirectional);
+    }
+  // Below the clip width the extent is the block size as before.
+  const BlockPlan narrow({n - 3, 4, 4}, interior_clips(n, n, n, levels));
+  EXPECT_EQ(narrow.nb(0), 2);
+  expect_cover_once(narrow, false);
+}
+
+TEST(BlockPlan, BlockCoveringTheWidestShrinkingClipIsOneBlock) {
+  // A rank with a neighbour on one side and the physical boundary on the
+  // other: its level clips shrink by one cell per level on the neighbour
+  // side only, so the skewed span outgrows the widest (level-1) clip.
+  std::vector<LevelClip> clips(3);
+  for (int s = 1; s <= 3; ++s) {
+    LevelClip& c = clips[static_cast<std::size_t>(s - 1)];
+    c.lo = {s, 1, 3};
+    c.hi = {23, 20 - s, 15};
+  }
+  for (const bool bidirectional : {false, true}) {
+    const BlockPlan wide({22, 18, 4}, clips, bidirectional);
+    EXPECT_EQ(wide.nb(0), 1);
+    EXPECT_EQ(wide.nb(1), 1);
+    expect_cover_once(wide, bidirectional);
+    const BlockPlan narrow({21, 17, 4}, clips, bidirectional);
+    EXPECT_GT(narrow.nb(0), 1);
+    EXPECT_GT(narrow.nb(1), 1);
+    expect_cover_once(narrow, bidirectional);
+  }
+}
 
 TEST(BlockPlan, WindowsShiftByOnePerLevel) {
   BlockPlan plan({4, 4, 4}, interior_clips(20, 20, 20, 3));
@@ -192,6 +267,25 @@ TEST(DistanceBounds, SingleThreadChecksNothing) {
   const auto b = make_distance_bounds(1, 1, 1, 4, 0);
   EXPECT_FALSE(b[0].check_lower);
   EXPECT_FALSE(b[0].check_upper);
+}
+
+TEST(BarrierOffsets, StagesTrailByOneBlockPlusTeamDelay) {
+  EXPECT_EQ(make_barrier_offsets(/*teams=*/2, /*team_size=*/3, /*dt=*/2),
+            (std::vector<long long>{0, 1, 2, 5, 6, 7}));
+  EXPECT_EQ(make_barrier_offsets(1, 1, 4), (std::vector<long long>{0}));
+}
+
+TEST(ClearancePredicates, MatchEquationThree) {
+  DistanceBounds b;
+  b.dl = 2;
+  b.du = 3;
+  // c_{i-1} - c_i >= d_l, or the predecessor finished all 10 blocks.
+  EXPECT_TRUE(lower_clear(b, /*prev=*/5, /*done=*/3, /*total=*/10));
+  EXPECT_FALSE(lower_clear(b, 4, 3, 10));
+  EXPECT_TRUE(lower_clear(b, 10, 9, 10));
+  // c_i - c_{i+1} <= d_u.
+  EXPECT_TRUE(upper_clear(b, /*done=*/5, /*next=*/2));
+  EXPECT_FALSE(upper_clear(b, 6, 2));
 }
 
 TEST(ProgressCounters, PublishLoadRoundTrip) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/registry.hpp"
+#include "dist/rank_program.hpp"
 #include "dist/registry.hpp"
 #include "support/grid_test_utils.hpp"
 #include "util/aligned_buffer.hpp"
@@ -35,11 +36,9 @@ struct DecompCase {
 
 class Decomposition : public ::testing::TestWithParam<DecompCase> {};
 
-TEST_P(Decomposition, BitIdenticalToReference) {
-  const DecompCase c = GetParam();
-  const int n = 26;  // 24 interior cells: divisible by 1, 2, 3, 4
-  const core::Grid3 initial = make_initial(n);
+constexpr int kDecompN = 26;  // 24 interior cells: divisible by 1, 2, 3, 4
 
+[[nodiscard]] DistConfig config_of(const DecompCase& c) {
   DistConfig cfg;
   cfg.proc_dims = c.dims;
   cfg.pipeline.teams = 1;
@@ -47,6 +46,13 @@ TEST_P(Decomposition, BitIdenticalToReference) {
   cfg.pipeline.steps_per_thread = c.T;
   cfg.pipeline.block = {8, 4, 4};
   cfg.overlap = c.overlap;
+  return cfg;
+}
+
+TEST_P(Decomposition, BitIdenticalToReference) {
+  const DecompCase c = GetParam();
+  const core::Grid3 initial = make_initial(kDecompN);
+  const DistConfig cfg = config_of(c);
   const int ranks = c.dims[0] * c.dims[1] * c.dims[2];
   const int epochs = 3;
 
@@ -54,6 +60,151 @@ TEST_P(Decomposition, BitIdenticalToReference) {
   run_distributed(ranks, cfg, initial, epochs, &result);
   const int steps = epochs * cfg.pipeline.levels_per_sweep();
   tb::test::expect_grids_bitwise_equal(result, reference_result(initial, steps));
+}
+
+// ---- the halo plan ----------------------------------------------------
+//
+// Decomposition::halo_plan is the one exchange schedule: the executing
+// solver walks it every epoch (sequential, or direct when overlapped) and
+// build_halo_programs emits the modeled ops from the sequential plan.
+
+[[nodiscard]] dist::Decomposition decomposition_of(const DecompCase& c) {
+  return dist::Decomposition({kDecompN, kDecompN, kDecompN}, c.dims,
+                             c.t * c.T);
+}
+
+/// Local box `b` of rank geometry `g` in global cell indices.
+[[nodiscard]] Box3 to_global(const RankGeometry& g, int halo, Box3 b) {
+  for (std::size_t d = 0; d < 3; ++d) {
+    b.lo[d] += g.own_lo[d] - halo;
+    b.hi[d] += g.own_lo[d] - halo;
+  }
+  return b;
+}
+
+// Every message rank r sends to q under tag t has exactly one
+// counterpart in q's plan: a message from r, in the same phase, whose
+// recv_tag is t and whose recv box is the same global cells as the send
+// box.
+TEST_P(Decomposition, HaloPlanMessagesPairUp) {
+  const dist::Decomposition decomp = decomposition_of(GetParam());
+  for (const bool direct : {false, true}) {
+    std::vector<RankGeometry> geo;
+    std::vector<std::vector<HaloMessage>> plans;
+    for (int r = 0; r < decomp.ranks(); ++r) {
+      geo.push_back(decomp.geometry(r));
+      plans.push_back(decomp.halo_plan(geo.back(), direct));
+      EXPECT_LE(plans.back().size(), direct ? 26u : 6u);
+    }
+    for (int r = 0; r < decomp.ranks(); ++r)
+      for (const HaloMessage& m : plans[static_cast<std::size_t>(r)]) {
+        ASSERT_GE(m.peer, 0);
+        ASSERT_LT(m.peer, decomp.ranks());
+        const auto q = static_cast<std::size_t>(m.peer);
+        const Box3 sent =
+            to_global(geo[static_cast<std::size_t>(r)], decomp.halo(), m.send);
+        int matches = 0;
+        for (const HaloMessage& back : plans[q]) {
+          if (back.peer != r || back.recv_tag != m.send_tag) continue;
+          ++matches;
+          const Box3 got = to_global(geo[q], decomp.halo(), back.recv);
+          EXPECT_EQ(back.phase, m.phase);
+          EXPECT_EQ(back.recv.cells(), m.send.cells());
+          EXPECT_EQ(got.lo, sent.lo);
+          EXPECT_EQ(got.hi, sent.hi);
+        }
+        EXPECT_EQ(matches, 1) << (direct ? "direct" : "sequential")
+                              << " plan, rank " << r << " -> " << m.peer
+                              << " tag " << m.send_tag;
+      }
+  }
+}
+
+// Within each plan the recv boxes are disjoint, and the sequential and
+// direct plans fill the same ghost cells: exactly the cells the level-1
+// updates read that this rank neither owns nor holds as physical
+// boundary.
+TEST_P(Decomposition, HaloPlanRecvBoxesTileTheGhostRegion) {
+  const dist::Decomposition decomp = decomposition_of(GetParam());
+  const int h = decomp.halo();
+  for (int r = 0; r < decomp.ranks(); ++r) {
+    const RankGeometry g = decomp.geometry(r);
+    const std::array<int, 3>& n = g.local_n;
+    const auto index = [&](int i, int j, int k) {
+      return static_cast<std::size_t>(i + n[0] * (j + n[1] * k));
+    };
+    const auto hits = [&](bool direct) {
+      std::vector<int> out(static_cast<std::size_t>(n[0] * n[1] * n[2]), 0);
+      for (const HaloMessage& m : decomp.halo_plan(g, direct))
+        for (int k = m.recv.lo[2]; k < m.recv.hi[2]; ++k)
+          for (int j = m.recv.lo[1]; j < m.recv.hi[1]; ++j)
+            for (int i = m.recv.lo[0]; i < m.recv.hi[0]; ++i)
+              ++out[index(i, j, k)];
+      return out;
+    };
+    // Level 1 reads its clip grown by one cell; the rank already holds
+    // its owned cells and, on physical sides, the boundary layer.
+    const core::LevelClip read = decomp.level_clips(g)[0];
+    std::vector<int> ghost(static_cast<std::size_t>(n[0] * n[1] * n[2]), 0);
+    for (int k = 0; k < n[2]; ++k)
+      for (int j = 0; j < n[1]; ++j)
+        for (int i = 0; i < n[0]; ++i) {
+          const std::array<int, 3> x{i, j, k};
+          bool is_read = true, held = true;
+          for (std::size_t d = 0; d < 3; ++d) {
+            is_read &= x[d] >= read.lo[d] - 1 && x[d] < read.hi[d] + 1;
+            held &= x[d] >= (g.neighbor_lo[d] >= 0 ? h : h - 1) &&
+                    x[d] < (g.neighbor_hi[d] >= 0 ? h + g.own[d]
+                                                  : h + g.own[d] + 1);
+          }
+          ghost[index(i, j, k)] = is_read && !held ? 1 : 0;
+        }
+    EXPECT_EQ(hits(false), ghost) << "sequential plan, rank " << r;
+    EXPECT_EQ(hits(true), ghost) << "direct plan, rank " << r;
+  }
+}
+
+// The executing solver sends exactly what its plan lists, and in
+// sequential mode exactly what build_halo_programs models: per rank and
+// epoch, the same bytes and message counts, not just clocks within 1 %.
+TEST_P(Decomposition, ExchangeVolumeMatchesPlanAndRankPrograms) {
+  const DecompCase c = GetParam();
+  const dist::Decomposition decomp = decomposition_of(c);
+  const core::Grid3 initial = make_initial(kDecompN);
+  const int epochs = 2;
+  std::vector<DistStats> executed(static_cast<std::size_t>(decomp.ranks()));
+  simnet::World world(decomp.ranks());
+  world.run([&](simnet::Comm& comm) {
+    DistributedJacobi solver(comm, config_of(c), initial);
+    executed[static_cast<std::size_t>(comm.rank())] = solver.advance(epochs);
+  });
+
+  HaloProgramSpec spec;
+  spec.global_n = decomp.global_n();
+  spec.proc_dims = c.dims;
+  spec.halo = decomp.halo();
+  const std::vector<simnet::RankProgram> programs =
+      build_halo_programs(spec);
+  for (int r = 0; r < decomp.ranks(); ++r) {
+    const auto ru = static_cast<std::size_t>(r);
+    CommVolume planned, modeled;
+    for (const HaloMessage& m : decomp.halo_plan(decomp.geometry(r),
+                                                 c.overlap)) {
+      planned.bytes += m.send.cells() * sizeof(double);
+      ++planned.messages;
+    }
+    for (const simnet::RankOp& op : programs[ru].ops)
+      if (op.kind == simnet::RankOpKind::kSend) {
+        modeled.bytes += op.bytes;
+        ++modeled.messages;
+      }
+    EXPECT_EQ(executed[ru].comm.bytes, epochs * planned.bytes) << r;
+    EXPECT_EQ(executed[ru].comm.messages, epochs * planned.messages) << r;
+    if (!c.overlap) {
+      EXPECT_EQ(executed[ru].comm.bytes, epochs * modeled.bytes) << r;
+      EXPECT_EQ(executed[ru].comm.messages, epochs * modeled.messages) << r;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
