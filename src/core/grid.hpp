@@ -183,12 +183,18 @@ inline void fill_test_pattern(Grid3& g, double scale = 1.0,
 /// material the varcoef examples, benches, tuning probes and tests all
 /// share, so a tuned plan is probed and validated on identical physics.
 /// Row padding holds 1; `threads` split the z-slices (fill_cells).
-[[nodiscard]] inline Grid3 make_slab_kappa(int nx, int ny, int nz,
-                                           int threads = 1) {
-  Grid3 kappa(nx, ny, nz);
+inline void fill_slab_kappa(Grid3& kappa, int threads = 1) {
+  const int nz = kappa.nz();
   fill_cells(kappa, threads, 1.0, [&](int, int, int k) {
     return k >= nz / 3 && k < 2 * nz / 3 ? 50.0 : 1.0;
   });
+}
+
+/// fill_slab_kappa on a new nx*ny*nz grid.
+[[nodiscard]] inline Grid3 make_slab_kappa(int nx, int ny, int nz,
+                                           int threads = 1) {
+  Grid3 kappa(nx, ny, nz);
+  fill_slab_kappa(kappa, threads);
   return kappa;
 }
 

@@ -15,8 +15,8 @@ namespace tb::core {
 namespace {
 
 /// Threads for the set-up passes that follow no scheme's page placement
-/// (the varcoef face coefficients): the most any scheme of the config
-/// runs.
+/// (the varcoef face coefficients, the lbm masks and lattices): the most
+/// any scheme of the config runs.
 int setup_threads(const SolverConfig& cfg) {
   return std::max({cfg.baseline.threads, cfg.pipeline.total_threads(),
                    cfg.wavefront.threads});
@@ -368,7 +368,7 @@ lbm::LbmState default_lbm_state(const SolverConfig& cfg,
                                 const Grid3& initial) {
   lbm::LbmState s(
       lbm::Geometry::cavity(initial.nx(), initial.ny(), initial.nz()),
-      cfg.lbm, initial, cfg.lbm_storage);
+      cfg.lbm, initial, cfg.lbm_storage, setup_threads(cfg));
   s.prefetch = cfg.lbm_prefetch;
   return s;
 }
@@ -425,7 +425,7 @@ StencilSolver::StencilSolver(const SolverConfig& cfg, const Grid3& initial,
         "StencilSolver: kappa shape must match the initial grid");
   if (cfg.op == Operator::kLbm) {
     lbm::LbmState s(lbm::geometry_from_codes(kappa), cfg.lbm, initial,
-                    cfg.lbm_storage);
+                    cfg.lbm_storage, setup_threads(cfg));
     s.prefetch = cfg.lbm_prefetch;
     impl_ = std::make_unique<OpImpl<lbm::LbmOp>>(
         cfg, initial, OpState<lbm::LbmOp>{std::move(s)});

@@ -63,6 +63,7 @@
 // real physics, not a dummy payload.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -73,6 +74,7 @@
 
 #include "core/stencil_op.hpp"
 #include "lbm/kernel.hpp"
+#include "util/slices.hpp"
 
 namespace tb::lbm {
 
@@ -112,30 +114,36 @@ class LbmState {
   /// `initial_density` supplies the level-0 density per cell; the
   /// distributions start at the zero-velocity equilibrium of that
   /// density (non-positive values — unphysical for LBM — fall back to
-  /// cfg.rho0, so pattern-filled probe grids stay finite).
+  /// cfg.rho0, so pattern-filled probe grids stay finite).  The masks
+  /// and distributions are built over z-slices on `threads` threads,
+  /// here and in every reset(); the bits do not depend on the count.
   LbmState(Geometry geo, const LbmConfig& cfg,
            const core::Grid3& initial_density,
-           LbmStorage storage = LbmStorage::kTwoLattice)
+           LbmStorage storage = LbmStorage::kTwoLattice, int threads = 1)
       : geo_(std::move(geo)),
         cfg_(cfg),
         storage_(storage),
-        lid_(cfg) {
+        lid_(cfg),
+        threads_(std::max(1, threads)) {
     cfg_.validate();
     const int nx = initial_density.nx(), ny = initial_density.ny(),
               nz = initial_density.nz();
     if (geo_.nx() != nx || geo_.ny() != ny || geo_.nz() != nz)
       throw std::invalid_argument(
           "LbmState: geometry shape must match the initial grid");
-    initialize(initial_density);
+    check_hull(geo_);
+    build_masks();
+    fill_distributions(initial_density);
   }
 
   /// Rewinds the state to level 0 for a new initial density — and, when
   /// `new_geometry` is non-null, a new geometry of the same shape —
-  /// reusing every allocation (the lattices, masks and density cache are
-  /// refilled in place).  Bit-identical to constructing a fresh state on
-  /// the same inputs; the mechanism behind StencilSolver::reset for the
-  /// lbm operator.  Throws on shape mismatches and, for AA storage, on a
-  /// geometry whose outer layer is not fully solid.
+  /// reusing every allocation (the lattices and density cache are
+  /// refilled in place; the masks are rebuilt only for a new geometry).
+  /// Bit-identical to constructing a fresh state on the same inputs; the
+  /// mechanism behind StencilSolver::reset for the lbm operator.  Throws
+  /// on shape mismatches and, for AA storage, on a geometry whose outer
+  /// layer is not fully solid; the state is unchanged then.
   void reset(const core::Grid3& initial_density,
              const Geometry* new_geometry) {
     const int nx = geo_.nx(), ny = geo_.ny(), nz = geo_.nz();
@@ -150,10 +158,11 @@ class LbmState {
         throw std::invalid_argument(
             "LbmState::reset: geometry shape must match the constructed "
             "shape");
+      check_hull(*new_geometry);
       geo_ = *new_geometry;
+      build_masks();
     }
-    fluid_interior_ = 0;
-    initialize(initial_density);
+    fill_distributions(initial_density);
   }
 
   [[nodiscard]] const Geometry& geometry() const { return geo_; }
@@ -264,78 +273,122 @@ class LbmState {
                              ": this state uses two-lattice storage");
   }
 
-  /// Builds the geometry masks and fills the distributions with the
-  /// level-0 equilibrium of `initial_density`.  Shared by construction
-  /// and reset(): lattices are allocated only when not yet engaged, so a
-  /// reset refills the existing buffers in place.
-  void initialize(const core::Grid3& initial_density) {
-    const int nx = geo_.nx(), ny = geo_.ny(), nz = geo_.nz();
+  /// For AA storage, throws unless every boundary cell of `geo` is
+  /// solid: the alternating in-place arrangement would freeze a fluid
+  /// hull cell at level 0 while the interior alternates.  Runs serially
+  /// before the slices, which must not throw.
+  void check_hull(const Geometry& geo) const {
+    if (storage_ != LbmStorage::kAA) return;
+    const int nx = geo.nx(), ny = geo.ny(), nz = geo.nz();
+    const auto solid = [&](int i, int j, int k) {
+      if (geo.at(i, j, k) == Cell::kFluid)
+        throw std::invalid_argument(
+            "LbmState: the AA storage policy requires a fully solid "
+            "outer layer (fluid boundary cells break the in-place "
+            "alternation)");
+    };
+    for (int k = 0; k < nz; ++k)
+      for (int j = 0; j < ny; ++j) {
+        if (k == 0 || k == nz - 1 || j == 0 || j == ny - 1) {
+          for (int i = 0; i < nx; ++i) solid(i, j, k);
+        } else {
+          solid(0, j, k);
+          solid(nx - 1, j, k);
+        }
+      }
+  }
 
+  /// Builds the per-cell masks of geo_ and the fluid-cell count: at
+  /// construction and when reset() brings a new geometry.  The passes
+  /// here and in fill_distributions write z-slices on threads_ threads,
+  /// and every value they write is a function of the inputs at fixed
+  /// cells, so the bits do not depend on the split.
+  void build_masks() {
+    const int nx = geo_.nx(), ny = geo_.ny(), nz = geo_.nz();
     // Geometry masks (interior cells; the outermost layer is never
     // updated, its entries only mark it solid for the row kernels) and
-    // the fluid-cell count the throughput accounting reports.
-    masks_.assign(static_cast<std::size_t>(nx) * ny * nz, kMaskSolid);
-    for (int k = 1; k < nz - 1; ++k)
-      for (int j = 1; j < ny - 1; ++j)
-        for (int i = 1; i < nx - 1; ++i) {
-          const std::uint64_t m = cell_mask(geo_, i, j, k);
-          masks_[(static_cast<std::size_t>(k) * ny + j) * nx + i] = m;
-          if (!(m & kMaskSolid)) ++fluid_interior_;
+    // the fluid-cell count the throughput accounting reports, summed
+    // per slice.
+    masks_.resize(static_cast<std::size_t>(nx) * ny * nz);
+    std::vector<long long> fluid(static_cast<std::size_t>(threads_), 0);
+    util::for_each_slice(threads_, 0, nz, [&](int t, int k0, int k1) {
+      long long count = 0;
+      for (int k = k0; k < k1; ++k)
+        for (int j = 0; j < ny; ++j) {
+          std::uint64_t* m =
+              masks_.data() + (static_cast<std::size_t>(k) * ny + j) * nx;
+          const bool face = k == 0 || k == nz - 1 || j == 0 || j == ny - 1;
+          for (int i = 0; i < nx; ++i) {
+            m[i] = face || i == 0 || i == nx - 1 ? kMaskSolid
+                                                 : cell_mask(geo_, i, j, k);
+            if (!(m[i] & kMaskSolid)) ++count;
+          }
         }
+      fluid[static_cast<std::size_t>(t)] = count;
+    });
+    fluid_interior_ = 0;
+    for (const long long c : fluid) fluid_interior_ += c;
+  }
+
+  /// Fills the distributions with the level-0 equilibrium of the
+  /// density `rho_in`.  Lattices are allocated only when not yet
+  /// engaged, so a reset refills the existing buffers in place.
+  void fill_distributions(const core::Grid3& rho_in) {
+    const int nx = geo_.nx(), ny = geo_.ny(), nz = geo_.nz();
+    const double rho0 = cfg_.rho0;
+    const auto resolved = [rho0](double r) { return r > 0.0 ? r : rho0; };
 
     if (storage_ == LbmStorage::kTwoLattice) {
       if (!even_) even_.emplace(nx, ny, nz);
       if (!odd_) odd_.emplace(nx, ny, nz);
-      for (int k = 0; k < nz; ++k)
-        for (int j = 0; j < ny; ++j)
-          for (int i = 0; i < nx; ++i) {
-            const double rho0 = initial_density.at(i, j, k);
-            const double rho = rho0 > 0.0 ? rho0 : cfg_.rho0;
+      util::for_each_slice(threads_, 0, nz, [&](int, int k0, int k1) {
+        for (int k = k0; k < k1; ++k)
+          for (int j = 0; j < ny; ++j) {
+            const double* rho = rho_in.row(j, k);
             for (int q = 0; q < kQ; ++q) {
-              const double feq = equilibrium(q, rho, 0.0, 0.0, 0.0);
-              even_->f(q).at(i, j, k) = feq;
-              odd_->f(q).at(i, j, k) = feq;
+              double* ev = even_->f(q).row(j, k);
+              double* od = odd_->f(q).row(j, k);
+              for (int i = 0; i < nx; ++i) {
+                const double feq =
+                    equilibrium(q, resolved(rho[i]), 0.0, 0.0, 0.0);
+                ev[i] = feq;
+                od[i] = feq;
+              }
             }
           }
+      });
       return;
     }
 
-    // AA storage.  The alternating in-place arrangement requires every
-    // boundary cell to be solid (a fluid hull cell would be frozen at
-    // level 0 while the interior alternates).
-    for (int k = 0; k < nz; ++k)
-      for (int j = 0; j < ny; ++j)
-        for (int i = 0; i < nx; ++i)
-          if ((i == 0 || j == 0 || k == 0 || i == nx - 1 || j == ny - 1 ||
-               k == nz - 1) &&
-              geo_.at(i, j, k) == Cell::kFluid)
-            throw std::invalid_argument(
-                "LbmState: the AA storage policy requires a fully solid "
-                "outer layer (fluid boundary cells break the in-place "
-                "alternation)");
+    // AA storage.  Level 0 is even, so the lattice must hold the
+    // STREAMED arrangement of the level-0 equilibrium:
+    // A_q(y) = f_q(y - e_q).  Slots whose source lies outside the box
+    // are never read; park them at the reference-density equilibrium.
+    // The source density is resolved from the input directly, so no
+    // slice reads another slice's rho_init_ planes.
     if (!rho_init_) rho_init_.emplace(nx, ny, nz);
-    for (int k = 0; k < nz; ++k)
-      for (int j = 0; j < ny; ++j)
-        for (int i = 0; i < nx; ++i) {
-          const double rho0 = initial_density.at(i, j, k);
-          rho_init_->at(i, j, k) = rho0 > 0.0 ? rho0 : cfg_.rho0;
-        }
-    // Level 0 is even, so the lattice must hold the STREAMED
-    // arrangement of the level-0 equilibrium: A_q(y) = f_q(y - e_q).
-    // Slots whose source lies outside the box are never read; park them
-    // at the reference-density equilibrium.
     if (!aa_) aa_.emplace(nx, ny, nz);
-    for (int k = 0; k < nz; ++k)
-      for (int j = 0; j < ny; ++j)
-        for (int i = 0; i < nx; ++i)
+    util::for_each_slice(threads_, 0, nz, [&](int, int k0, int k1) {
+      for (int k = k0; k < k1; ++k)
+        for (int j = 0; j < ny; ++j) {
+          const double* rho = rho_in.row(j, k);
+          double* init = rho_init_->row(j, k);
+          for (int i = 0; i < nx; ++i) init[i] = resolved(rho[i]);
           for (int q = 0; q < kQ; ++q) {
             const auto& e = kVelocities[static_cast<std::size_t>(q)];
-            const int si = i - e[0], sj = j - e[1], sk = k - e[2];
-            const bool in = si >= 0 && si < nx && sj >= 0 && sj < ny &&
-                            sk >= 0 && sk < nz;
-            const double rho = in ? rho_init_->at(si, sj, sk) : cfg_.rho0;
-            aa_->f(q).at(i, j, k) = equilibrium(q, rho, 0.0, 0.0, 0.0);
+            const int sj = j - e[1], sk = k - e[2];
+            const bool row_in = sj >= 0 && sj < ny && sk >= 0 && sk < nz;
+            const double* src = row_in ? rho_in.row(sj, sk) : nullptr;
+            double* out = aa_->f(q).row(j, k);
+            for (int i = 0; i < nx; ++i) {
+              const int si = i - e[0];
+              const double r =
+                  row_in && si >= 0 && si < nx ? resolved(src[si]) : rho0;
+              out[i] = equilibrium(q, r, 0.0, 0.0, 0.0);
+            }
           }
+        }
+    });
   }
 
   Geometry geo_;
@@ -348,6 +401,7 @@ class LbmState {
   std::optional<Lattice> aa_;          ///< AA storage
   std::optional<core::Grid3> rho_init_;        ///< AA: resolved level-0 density
   mutable std::optional<Lattice> decode_;      ///< AA: current() scratch
+  int threads_ = 1;  ///< set-up threads of build_masks, fill_distributions
 };
 
 /// D3Q19 stream-collide as a StencilOp.  The carrier update writes the

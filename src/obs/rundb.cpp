@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <utility>
 
 #include "obs/registry.hpp"
 #include "util/json.hpp"
@@ -66,6 +68,18 @@ std::string default_rundb_path() {
 
 std::vector<std::pair<std::string, double>> phase_seconds_snapshot() {
   return Registry::global().sums_with_suffix(".seconds");
+}
+
+std::vector<std::pair<std::string, double>> phase_seconds_since(
+    const std::vector<std::pair<std::string, double>>& before) {
+  const std::map<std::string, double> start(before.begin(), before.end());
+  std::vector<std::pair<std::string, double>> out;
+  for (auto& [name, sum] : phase_seconds_snapshot()) {
+    const auto it = start.find(name);
+    const double base = it != start.end() ? it->second : 0.0;
+    if (sum != base) out.emplace_back(std::move(name), sum - base);
+  }
+  return out;
 }
 
 }  // namespace tb::obs

@@ -34,7 +34,8 @@ struct RunRow {
   /// NodeModel prediction for the same configuration; <= 0 means "no
   /// prediction" and the field is omitted from output.
   double predicted_mlups = 0.0;
-  /// (phase name, seconds) — typically phase_seconds_snapshot().
+  /// (phase name, seconds) — typically phase_seconds_since(snapshot
+  /// taken at the run's start).
   std::vector<std::pair<std::string, double>> phases;
   /// Free-form ("op", "lbm"), ("variant", "pipelined"), ("modeled", "1")
   std::vector<std::pair<std::string, std::string>> tags;
@@ -47,7 +48,16 @@ bool append_run_rows(const std::string& path, const std::vector<RunRow>& rows);
 std::string default_rundb_path();
 
 /// (histogram name, sum of samples) for every ".seconds" histogram in
-/// the global registry — the per-phase breakdown a RunRow embeds.
+/// the global registry.  Process-cumulative: a row for one run of many
+/// takes phase_seconds_since instead.
 std::vector<std::pair<std::string, double>> phase_seconds_snapshot();
+
+/// The growth of every ".seconds" histogram sum since `before`, an
+/// earlier phase_seconds_snapshot(): the per-phase breakdown of the work
+/// in between, which a RunRow for that one run embeds.  Names missing
+/// from `before` count from 0; names whose sum did not change are left
+/// out.
+std::vector<std::pair<std::string, double>> phase_seconds_since(
+    const std::vector<std::pair<std::string, double>>& before);
 
 }  // namespace tb::obs

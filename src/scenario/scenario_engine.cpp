@@ -2,8 +2,8 @@
 
 #include <cstdio>
 #include <exception>
-#include <optional>
 #include <utility>
+#include <vector>
 
 #include "core/registry.hpp"
 #include "obs/accounting.hpp"
@@ -13,6 +13,7 @@
 #include "perfmodel/model_api.hpp"
 #include "scenario/grids.hpp"
 #include "topo/machine.hpp"
+#include "util/slices.hpp"
 
 namespace tb::scenario {
 
@@ -35,18 +36,27 @@ core::SolverConfig config_for(const CaseSpec& spec) {
 }
 
 /// Mean of the solver's current level over the nx*ny*nz cells of
-/// `shape`, summed serially in k, j, i order; row padding is neither
-/// summed nor counted.  Reads the rows in place, so a compressed solver
-/// never copies its store out to a grid.
+/// `shape`; row padding is neither summed nor counted.  Each z-plane is
+/// summed in j, i order, the planes split over `threads`
+/// (util::for_each_slice), and the plane sums are added in k order, so
+/// the bits do not depend on the thread count.  Reads the rows in
+/// place, so a compressed solver never copies its store out to a grid.
 double solution_mean(const core::StencilSolver& solver,
-                     const core::Grid3& shape) {
+                     const core::Grid3& shape, int threads) {
   const int nx = shape.nx(), ny = shape.ny(), nz = shape.nz();
-  double sum = 0.0;
-  for (int k = 0; k < nz; ++k)
-    for (int j = 0; j < ny; ++j) {
-      const double* row = solver.row(j, k);
-      for (int i = 0; i < nx; ++i) sum += row[i];
+  std::vector<double> plane(static_cast<std::size_t>(nz));
+  util::for_each_slice(threads, 0, nz, [&](int, int k0, int k1) {
+    for (int k = k0; k < k1; ++k) {
+      double sum = 0.0;
+      for (int j = 0; j < ny; ++j) {
+        const double* row = solver.row(j, k);
+        for (int i = 0; i < nx; ++i) sum += row[i];
+      }
+      plane[static_cast<std::size_t>(k)] = sum;
     }
+  });
+  double sum = 0.0;
+  for (const double p : plane) sum += p;
   return sum / (static_cast<double>(nx) * ny * nz);
 }
 
@@ -55,6 +65,25 @@ double solution_mean(const core::StencilSolver& solver,
 ScenarioEngine::ScenarioEngine(EngineOptions opts)
     : opts_(std::move(opts)), session_(opts_.session) {}
 
+template <class Fill>
+const core::Grid3& ScenarioEngine::held_input(std::map<Shape, HeldGrid>& held,
+                                              const CaseSpec& spec,
+                                              std::string key, Fill&& fill) {
+  const Shape shape{spec.nx, spec.ny, spec.nz};
+  auto it = held.find(shape);
+  if (it == held.end())
+    it = held
+             .emplace(shape,
+                      HeldGrid{{}, core::Grid3(spec.nx, spec.ny, spec.nz)})
+             .first;
+  HeldGrid& h = it->second;
+  if (h.key == key) return h.grid;
+  h.key.clear();  // a fill that throws leaves no key to match
+  fill(h.grid);
+  h.key = std::move(key);
+  return h.grid;
+}
+
 CaseResult ScenarioEngine::run_case(const CaseSpec& spec) {
   const obs::Span span("scenario.case", "scenario");
   obs::ScopedTimer timer(
@@ -62,15 +91,24 @@ CaseResult ScenarioEngine::run_case(const CaseSpec& spec) {
           ? &obs::Registry::global().histogram("scenario.case.seconds")
           : nullptr);
 
-  const core::Grid3 initial = make_initial(spec);
-  const std::optional<core::Grid3> aux = make_aux(spec);
+  const auto phases_before = obs::phase_seconds_snapshot();
+
+  const std::string geometry = checked_geometry(spec);
+  const core::Grid3& initial =
+      held_input(initial_, spec, initial_key(spec),
+                 [&](core::Grid3& g) { fill_initial(spec, g); });
+  const core::Grid3* aux =
+      geometry == "none"
+          ? nullptr
+          : &held_input(aux_, spec, aux_key(spec, geometry),
+                        [&](core::Grid3& g) { fill_aux(spec, geometry, g); });
 
   core::SolveRequest req;
   req.variant = spec.variant;
   req.op = spec.op;
   req.cfg = config_for(spec);
   req.initial = &initial;
-  req.aux = aux ? &*aux : nullptr;
+  req.aux = aux;
   req.steps = spec.steps;
 
   const core::SolveResult solved = session_.solve(req);
@@ -81,7 +119,7 @@ CaseResult ScenarioEngine::run_case(const CaseSpec& spec) {
   out.reused = solved.reused;
   if (solved.solver != nullptr) {
     out.resolved_variant = core::variant_name(solved.solver->config());
-    out.mean = solution_mean(*solved.solver, initial);
+    out.mean = solution_mean(*solved.solver, initial, spec.threads);
   }
 
   if (obs::enabled() && solved.solver != nullptr) {
@@ -96,7 +134,7 @@ CaseResult ScenarioEngine::run_case(const CaseSpec& spec) {
     row.mlups = solved.stats.mlups();
     row.predicted_mlups = obs::predicted_solver_mlups(rcfg, opname, model,
                                                       spec.nx, spec.ny);
-    row.phases = obs::phase_seconds_snapshot();
+    row.phases = obs::phase_seconds_since(phases_before);
     row.tags = {{"scenario", scenario_name_},
                 {"op", opname},
                 {"variant", out.resolved_variant},

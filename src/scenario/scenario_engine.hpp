@@ -3,6 +3,14 @@
 // side channels, thread pools and the tuning cache instead of paying
 // construction per case.
 //
+// The case inputs are reused the same way: the engine holds at most one
+// initial grid and one aux grid per shape (nx, ny, nz), each with the
+// key of the spec fields its builder read (grids.hpp: initial_key,
+// aux_key).  A case whose key matches reuses the held grid as it is; a
+// different key refills it in place, so a sweep over kfiber or initial
+// conditions allocates one grid per shape, not one per case.  The
+// operator/geometry check runs for every case either way.
+//
 // Per case the engine opens an obs trace span ("scenario.case"),
 // observes the wall time into the scenario.case.seconds histogram, and
 // — when telemetry is on — streams one model-vs-measured RunRow into
@@ -11,6 +19,8 @@
 // examples write, with no new output format.
 #pragma once
 
+#include <array>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -49,9 +59,26 @@ class ScenarioEngine {
   [[nodiscard]] core::SolverSession& session() { return session_; }
 
  private:
+  /// A case input held for reuse, with the key it was built for.
+  struct HeldGrid {
+    std::string key;
+    core::Grid3 grid;
+  };
+  using Shape = std::array<int, 3>;  ///< (nx, ny, nz)
+
+  /// The grid `held` holds for the spec's shape, filled by `fill` for
+  /// `key`: returned as it is when its key is `key`, refilled in place
+  /// when the key differs, allocated on the shape's first case.
+  template <class Fill>
+  static const core::Grid3& held_input(std::map<Shape, HeldGrid>& held,
+                                       const CaseSpec& spec, std::string key,
+                                       Fill&& fill);
+
   EngineOptions opts_;
   core::SolverSession session_;
   std::string scenario_name_ = "unnamed";  ///< tags the run rows
+  std::map<Shape, HeldGrid> initial_;  ///< last initial grid per shape
+  std::map<Shape, HeldGrid> aux_;      ///< last aux grid per shape
 };
 
 /// Convenience entry the runner and the scenario-capable examples

@@ -6,11 +6,13 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <string>
 
 #include "core/registry.hpp"
 #include "lbm/stencil_op.hpp"
+#include "support/grid_test_utils.hpp"
 
 namespace tb::lbm {
 namespace {
@@ -424,6 +426,136 @@ TEST(LbmAa, StateFieldsWindowRejectsThePolicy) {
               std::string::npos)
         << err.what();
   }
+}
+
+// ---- threaded state initialization -------------------------------------
+
+/// Level-0 density with a varying field and one non-positive cell (the
+/// cfg.rho0 fallback); `shift` makes a second, different input.
+core::Grid3 varied_density(int nx, int ny, int nz, double shift) {
+  core::Grid3 g(nx, ny, nz);
+  for (int k = 0; k < nz; ++k)
+    for (int j = 0; j < ny; ++j)
+      for (int i = 0; i < nx; ++i)
+        g.at(i, j, k) = 0.9 + shift + 0.01 * i - 0.02 * j + 0.005 * k;
+  g.at(nx / 2, ny / 3, nz / 2) = -1.0;
+  return g;
+}
+
+/// Every mask, every lattice cell and the fluid count of `got` bitwise
+/// equal to `want`'s, for either storage.
+void expect_states_bitwise_equal(const LbmState& got, const LbmState& want) {
+  const int nx = want.geometry().nx(), ny = want.geometry().ny(),
+            nz = want.geometry().nz();
+  ASSERT_EQ(got.storage(), want.storage());
+  EXPECT_EQ(got.fluid_interior_cells(), want.fluid_interior_cells());
+  for (int k = 0; k < nz; ++k)
+    for (int j = 0; j < ny; ++j)
+      for (int i = 0; i < nx; ++i) {
+        ASSERT_EQ(got.geometry().at(i, j, k), want.geometry().at(i, j, k));
+        ASSERT_EQ(got.mask_row(j, k)[i], want.mask_row(j, k)[i])
+            << "mask at (" << i << "," << j << "," << k << ")";
+      }
+  for (int q = 0; q < kQ; ++q) {
+    SCOPED_TRACE("q " + std::to_string(q));
+    if (want.storage() == LbmStorage::kAA) {
+      tb::test::expect_grids_bitwise_equal(got.aa().f(q), want.aa().f(q));
+    } else {
+      tb::test::expect_grids_bitwise_equal(got.lattice(0).f(q),
+                                           want.lattice(0).f(q));
+      tb::test::expect_grids_bitwise_equal(got.lattice(1).f(q),
+                                           want.lattice(1).f(q));
+    }
+  }
+}
+
+/// The state initialize() must build, cell by cell and serially: masks
+/// from cell_mask on interior cells, the equilibrium of the resolved
+/// density in both ping-pong lattices, or its streamed arrangement in
+/// the AA lattice.
+void expect_state_matches_serial_definition(const LbmState& s,
+                                            const core::Grid3& density) {
+  const Geometry& geo = s.geometry();
+  const int nx = geo.nx(), ny = geo.ny(), nz = geo.nz();
+  const double rho0 = s.config().rho0;
+  const auto rho = [&](int i, int j, int k) {
+    if (i < 0 || j < 0 || k < 0 || i >= nx || j >= ny || k >= nz)
+      return rho0;
+    const double r = density.at(i, j, k);
+    return r > 0.0 ? r : rho0;
+  };
+  long long fluid = 0;
+  for (int k = 0; k < nz; ++k)
+    for (int j = 0; j < ny; ++j)
+      for (int i = 0; i < nx; ++i) {
+        const bool interior = i > 0 && j > 0 && k > 0 && i < nx - 1 &&
+                              j < ny - 1 && k < nz - 1;
+        const std::uint64_t m =
+            interior ? cell_mask(geo, i, j, k) : kMaskSolid;
+        ASSERT_EQ(s.mask_row(j, k)[i], m);
+        if (!(m & kMaskSolid)) ++fluid;
+        for (int q = 0; q < kQ; ++q) {
+          const auto& e = kVelocities[static_cast<std::size_t>(q)];
+          if (s.storage() == LbmStorage::kAA) {
+            const double want = equilibrium(
+                q, rho(i - e[0], j - e[1], k - e[2]), 0.0, 0.0, 0.0);
+            ASSERT_EQ(s.aa().f(q).at(i, j, k), want);
+          } else {
+            const double want = equilibrium(q, rho(i, j, k), 0.0, 0.0, 0.0);
+            ASSERT_EQ(s.lattice(0).f(q).at(i, j, k), want);
+            ASSERT_EQ(s.lattice(1).f(q).at(i, j, k), want);
+          }
+        }
+      }
+  EXPECT_EQ(s.fluid_interior_cells(), fluid);
+}
+
+TEST(LbmState, ThreadedInitBitIdenticalAcrossThreadCounts) {
+  // An odd shape: neither 3 nor 4 threads split nz = 10 evenly.
+  const int nx = 13, ny = 11, nz = 10;
+  const core::Grid3 first = varied_density(nx, ny, nz, 0.0);
+  const core::Grid3 second = varied_density(nx, ny, nz, 0.07);
+  const Geometry cavity = Geometry::cavity(nx, ny, nz);
+  core::Grid3 codes(nx, ny, nz);
+  for (int k = 0; k < nz; ++k)
+    for (int j = 0; j < ny; ++j)
+      for (int i = 0; i < nx; ++i)
+        codes.at(i, j, k) = static_cast<double>(cavity.at(i, j, k));
+  codes.at(nx / 2, ny / 2, nz / 2) = 1.0;  // an interior obstacle
+  codes.at(nx / 2 + 1, ny / 2, nz / 2) = 1.0;
+  const Geometry obstacle = geometry_from_codes(codes);
+  for (const LbmStorage storage : {LbmStorage::kTwoLattice, LbmStorage::kAA})
+    for (const bool start_obstacle : {false, true}) {
+      const Geometry& geo = start_obstacle ? obstacle : cavity;
+      const Geometry& other = start_obstacle ? cavity : obstacle;
+      LbmState serial(geo, LbmConfig{}, first, storage, 1);
+      expect_state_matches_serial_definition(serial, first);
+      LbmState serial_reset(geo, LbmConfig{}, first, storage, 1);
+      serial_reset.reset(second, &other);
+      expect_state_matches_serial_definition(serial_reset, second);
+      const LbmState serial_other(other, LbmConfig{}, first, storage, 1);
+      for (const int threads : {3, 4}) {
+        SCOPED_TRACE(std::string(storage == LbmStorage::kAA ? "aa" : "two") +
+                     (start_obstacle ? " obstacle" : " cavity") +
+                     " threads " + std::to_string(threads));
+        LbmState s(geo, LbmConfig{}, first, storage, threads);
+        expect_states_bitwise_equal(s, serial);
+        s.reset(second, &other);
+        expect_states_bitwise_equal(s, serial_reset);
+        s.reset(first, nullptr);  // keeps the geometry and its masks
+        expect_states_bitwise_equal(s, serial_other);
+      }
+    }
+  // The AA hull check runs before the slices, threaded or not, at
+  // construction and in reset.
+  Geometry punctured = cavity;
+  punctured.set(nx - 1, ny / 2, nz / 2, Cell::kFluid);
+  EXPECT_THROW(LbmState(punctured, LbmConfig{}, first, LbmStorage::kAA, 4),
+               std::invalid_argument);
+  LbmState aa(cavity, LbmConfig{}, first, LbmStorage::kAA, 4);
+  EXPECT_THROW(aa.reset(second, &punctured), std::invalid_argument);
+  const LbmState untouched(cavity, LbmConfig{}, first, LbmStorage::kAA, 1);
+  expect_states_bitwise_equal(aa, untouched);
 }
 
 // ---- geometry-aware throughput accounting ------------------------------

@@ -270,6 +270,44 @@ TEST(ObsRunDb, RowWithQuotesBackslashesAndNewlinesStaysOneLine) {
   EXPECT_EQ(v.get("tags").get(hostile).as_string(), hostile);
 }
 
+// A run row's phases are the growth since the run started, not the
+// process totals: a histogram observed before the snapshot contributes
+// only its later samples, one first observed after it counts from 0,
+// and one that did not grow is left out.
+TEST(ObsRunDb, PhaseSecondsSinceIsThePerRunDelta) {
+  obs::Registry& reg = obs::Registry::global();
+  obs::Histogram& earlier = reg.histogram("t.since.earlier.seconds");
+  obs::Histogram& idle = reg.histogram("t.since.idle.seconds");
+  earlier.observe(2.0);
+  idle.observe(1.0);
+  const auto before = obs::phase_seconds_snapshot();
+
+  earlier.observe(0.5);
+  reg.histogram("t.since.later.seconds").observe(0.25);
+  reg.histogram("t.since.later.bytes").observe(64.0);  // not a phase
+
+  std::map<std::string, double> since;
+  for (const auto& [name, sec] : obs::phase_seconds_since(before))
+    since[name] = sec;
+  EXPECT_EQ(since.at("t.since.earlier.seconds"), 0.5);
+  EXPECT_EQ(since.at("t.since.later.seconds"), 0.25);
+  EXPECT_FALSE(since.contains("t.since.idle.seconds"));
+  EXPECT_FALSE(since.contains("t.since.later.bytes"));
+
+  // The cumulative snapshot still carries the earlier samples.
+  std::map<std::string, double> total;
+  for (const auto& [name, sec] : obs::phase_seconds_snapshot())
+    total[name] = sec;
+  EXPECT_EQ(total.at("t.since.earlier.seconds"), 2.5);
+  EXPECT_EQ(total.at("t.since.idle.seconds"), 1.0);
+
+  // From an empty snapshot the delta is the whole sum.
+  std::map<std::string, double> all;
+  for (const auto& [name, sec] : obs::phase_seconds_since({}))
+    all[name] = sec;
+  EXPECT_EQ(all.at("t.since.earlier.seconds"), 2.5);
+}
+
 // ------------------------------------------- instrumentation is inert
 
 // The full variant x operator matrix must produce bit-identical answers

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <numeric>
 #include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "scenario/scenario_config.hpp"
 #include "scenario/scenario_engine.hpp"
 #include "support/grid_test_utils.hpp"
+#include "util/aligned_buffer.hpp"
 
 namespace tb::scenario {
 namespace {
@@ -352,6 +357,148 @@ TEST(ScenarioEngine, MeanCountsCellsNotRowPadding) {
   spec.initial = "uniform";
   ScenarioEngine engine;
   EXPECT_NEAR(engine.run_case(spec).mean, 1.0, 1e-12);
+}
+
+/// A case of `op`/`variant` on an nx*ny*nz grid, 3 steps on 2 threads.
+CaseSpec case_of(const std::string& op, const std::string& variant, int nx,
+                 int ny, int nz, const std::string& initial = "pattern",
+                 const std::string& geometry = "auto",
+                 double kfiber = 100.0) {
+  CaseSpec c;
+  c.op = op;
+  c.variant = variant;
+  c.nx = nx;
+  c.ny = ny;
+  c.nz = nz;
+  c.steps = 3;
+  c.initial = initial;
+  c.geometry = geometry;
+  c.kfiber = kfiber;
+  c.name = op + "/" + variant + "/" + initial + "/" + geometry + "/" +
+           std::to_string(kfiber) + "/" + std::to_string(nx);
+  return c;
+}
+
+/// Every operator over two shapes, with initial conditions, materials,
+/// kfiber values and lbm geometry codes that change within a shape.
+std::vector<CaseSpec> reuse_cases() {
+  return {
+      case_of("jacobi", "baseline", 10, 10, 10),
+      case_of("jacobi", "compressed", 10, 10, 10, "hot-face"),
+      case_of("varcoef", "pipelined", 10, 10, 10, "pattern", "slab"),
+      case_of("varcoef", "baseline", 10, 10, 10, "pattern", "fibers", 100.0),
+      case_of("varcoef", "baseline", 10, 10, 10, "pattern", "fibers", 7.5),
+      case_of("box27", "wavefront", 12, 10, 9),
+      case_of("redblack", "compressed", 12, 10, 9, "uniform"),
+      case_of("lbm", "baseline", 10, 10, 10, "uniform"),
+      case_of("lbm", "pipelined", 10, 10, 10, "uniform", "cavity"),
+      case_of("lbm:aa", "baseline", 10, 10, 10, "pattern", "obstacle"),
+      case_of("lbm:aa", "pipelined", 12, 10, 9, "uniform", "obstacle"),
+      case_of("lbm", "baseline", 12, 10, 9, "pattern", "cavity"),
+      case_of("jacobi", "reference", 12, 10, 9, "uniform"),
+  };
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(ScenarioEngine, ReusedInputsGiveFreshEngineMeans) {
+  const std::vector<CaseSpec> cases = reuse_cases();
+  std::vector<double> want;
+  for (const CaseSpec& c : cases) {
+    ScenarioEngine fresh;
+    want.push_back(fresh.run_case(c).mean);
+  }
+  std::vector<std::size_t> order(cases.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::mt19937 rng(2718);
+  std::shuffle(order.begin(), order.end(), rng);
+
+  ScenarioEngine engine;
+  for (int pass = 0; pass < 2; ++pass) {
+    // The first pass builds one initial and one aux grid per shape and
+    // fills them in place from then on; the second pass also hits the
+    // session pool on every case.  Neither may change a result bit.
+    const std::uint64_t allocs = util::buffer_alloc_count();
+    for (const std::size_t i : order) {
+      const CaseResult r = engine.run_case(cases[i]);
+      EXPECT_TRUE(same_bits(r.mean, want[i]))
+          << "pass " << pass << ": " << cases[i].name << " mean " << r.mean
+          << " != " << want[i];
+    }
+    if (pass == 1) {
+      EXPECT_EQ(util::buffer_alloc_count() - allocs, 0u)
+          << "a second pass over the list allocated";
+    }
+  }
+  // Whatever case ran just before, a case's held inputs are its own:
+  // every ordered pair, so two cases that differ only in one key field
+  // (kfiber, initial) also run back to back.
+  for (const CaseSpec& before : cases)
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      (void)engine.run_case(before);
+      EXPECT_TRUE(same_bits(engine.run_case(cases[i]).mean, want[i]))
+          << cases[i].name << " after " << before.name;
+    }
+}
+
+TEST(ScenarioEngine, InvalidGeometryThrowsWhenInputsAreHeld) {
+  ScenarioEngine engine;
+  const CaseSpec ok = case_of("varcoef", "baseline", 10, 10, 10, "pattern",
+                              "slab");
+  const double mean = engine.run_case(ok).mean;
+  (void)engine.run_case(case_of("lbm", "baseline", 10, 10, 10, "pattern",
+                                "cavity"));
+  // The shape holds an initial grid, a slab and, last, cavity codes: a
+  // held grid must not let a bad operator/geometry pair through.
+  EXPECT_THROW((void)engine.run_case(case_of("lbm", "baseline", 10, 10, 10,
+                                             "pattern", "slab")),
+               std::invalid_argument);
+  EXPECT_THROW((void)engine.run_case(case_of("jacobi", "baseline", 10, 10,
+                                             10, "pattern", "cavity")),
+               std::invalid_argument);
+  EXPECT_THROW((void)engine.run_case(case_of("varcoef", "baseline", 10, 10,
+                                             10, "pattern", "none")),
+               std::invalid_argument);
+  // An unknown initial throws too, and leaves nothing stale behind.
+  CaseSpec bad_initial = ok;
+  bad_initial.initial = "no-such-initial";
+  EXPECT_THROW((void)engine.run_case(bad_initial), std::invalid_argument);
+  EXPECT_TRUE(same_bits(engine.run_case(ok).mean, mean));
+}
+
+TEST(ScenarioEngine, MeanBitsDoNotDependOnThreads) {
+  // nz = 23: neither 2 nor 3 threads split the planes evenly.
+  for (const std::string op : {"jacobi", "lbm"}) {
+    CaseSpec spec = case_of(op, "reference", 17, 13, 23);
+    spec.threads = 1;
+    ScenarioEngine one;
+    const double mean1 = one.run_case(spec).mean;
+    spec.threads = 3;
+    ScenarioEngine three;
+    const double mean3 = three.run_case(spec).mean;
+    EXPECT_TRUE(same_bits(mean1, mean3)) << op << ": " << mean1 << " vs "
+                                         << mean3;
+
+    // The definition: each z-plane summed in j, i order, the plane sums
+    // added in k order, divided by the cell count.
+    core::SolverConfig cfg;
+    core::StencilSolver fresh =
+        core::make_solver("reference", op, cfg, make_initial(spec));
+    fresh.advance(spec.steps);
+    const core::Grid3& u = fresh.solution();
+    double sum = 0.0;
+    for (int k = 0; k < u.nz(); ++k) {
+      double plane = 0.0;
+      for (int j = 0; j < u.ny(); ++j)
+        for (int i = 0; i < u.nx(); ++i) plane += u.at(i, j, k);
+      sum += plane;
+    }
+    const double want = sum / (17.0 * 13 * 23);
+    EXPECT_TRUE(same_bits(mean3, want)) << op << ": " << mean3 << " vs "
+                                        << want;
+  }
 }
 
 TEST(ScenarioEngine, ShippedSweepScenarioExpandsAndRuns) {
