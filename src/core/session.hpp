@@ -12,6 +12,14 @@
 // the "auto" meta variant replay the session's tuning cache with zero
 // probes (tests/tune/test_session_tuning.cpp).
 //
+// Varcoef solvers share their face coefficients: the session keeps one
+// set per (shape, kappa bits) with a copy of that kappa, and binds every
+// pooled varcoef solver of that shape and material to it.  A solve
+// compares its kappa bitwise with the held ones; a match builds nothing.
+// A set is never written while two solvers read it, so per shape and
+// material the faces cost three grids plus the kappa copy, however many
+// variants run on it.
+//
 // The scenario engine (src/scenario/) is the main consumer: one
 // run_scenario process sweeps dozens of cases through one session.
 #pragma once
@@ -53,9 +61,13 @@ struct SolveRequest {
 /// What one solve produced.
 struct SolveResult {
   RunStats stats{};             ///< timing of the advance() call
-  StencilSolver* solver = nullptr;  ///< pooled solver holding the solution;
-                                    ///< valid until the session dies or the
-                                    ///< same key is solved again
+  /// Pooled solver holding the solution; valid until the session dies
+  /// or the same key is solved again.  Solving other keys never changes
+  /// its material: a varcoef solver shares its face-coefficient set only
+  /// with solvers on the same kappa bits, and a set is rebuilt in place
+  /// only when no other solver reads it, so advancing this solver again
+  /// continues on its own kappa.
+  StencilSolver* solver = nullptr;
   bool reused = false;          ///< true when the pool had the key already
 };
 

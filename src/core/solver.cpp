@@ -1,7 +1,7 @@
 #include "core/solver.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "core/stencil_op.hpp"
@@ -14,16 +14,8 @@ namespace tb::core {
 
 namespace {
 
-/// Threads for the set-up passes that follow no scheme's page placement
-/// (the varcoef face coefficients, the lbm masks and lattices): the most
-/// any scheme of the config runs.
-int setup_threads(const SolverConfig& cfg) {
-  return std::max({cfg.baseline.threads, cfg.pipeline.total_threads(),
-                   cfg.wavefront.threads});
-}
-
 /// Per-operator construction state.  The generic case is stateless; the
-/// variable-coefficient operator owns its face-coefficient fields here,
+/// variable-coefficient operator holds its face-coefficient set here,
 /// the lbm operator its distribution lattices and geometry, so the row
 /// kernels can hold a stable pointer to them.  set_level_base() feeds
 /// time-dependent operators the absolute level of the phase about to
@@ -44,18 +36,34 @@ struct OpState {
 
 template <>
 struct OpState<VarCoefOp> {
-  DiffusionCoefficients coeffs;
+  /// The slot every copy of the operator reads the set through: pointing
+  /// it at another set between sweeps rebinds them all.  Other solvers
+  /// may hold the same set, so it is never written here.
+  std::shared_ptr<const DiffusionCoefficients> coeffs;
   [[nodiscard]] VarCoefOp make() { return VarCoefOp{&coeffs}; }
   void set_level_base(int /*base*/) {}
   [[nodiscard]] const lbm::LbmState* lbm() const { return nullptr; }
   [[nodiscard]] long long updates_per_level() const { return -1; }
-  /// New kappa -> face coefficients rebuilt in place; no kappa -> the
-  /// existing material field stays (documented at StencilSolver::reset).
-  void reset(const SolverConfig& /*cfg*/, const Grid3& /*initial*/,
+  /// New kappa -> a private set built from it replaces the held one,
+  /// which is freed unless another solver still holds it; no kappa -> the
+  /// material stays (documented at StencilSolver::reset).
+  void reset(const SolverConfig& cfg, const Grid3& /*initial*/,
              const Grid3* aux) {
-    if (aux != nullptr) coeffs.rebuild(*aux);
+    if (aux != nullptr)
+      coeffs = std::make_shared<const DiffusionCoefficients>(
+          *aux, cfg.setup_threads());
   }
 };
+
+/// Throws unless `c` is a set shaped (nx, ny, nz).
+void check_coefficients(const DiffusionCoefficients* c, int nx, int ny,
+                        int nz) {
+  if (c == nullptr)
+    throw std::invalid_argument("StencilSolver: null face-coefficient set");
+  if (c->nx() != nx || c->ny() != ny || c->nz() != nz)
+    throw std::invalid_argument(
+        "StencilSolver: the face-coefficient set must match the grid shape");
+}
 
 template <>
 struct OpState<RedBlackOp> {
@@ -105,8 +113,12 @@ struct StencilSolver::Impl {
   /// it feeds the LevelOrigin of time-dependent operators).
   virtual RunStats advance(int steps, int base) = 0;
   /// Rewinds to level 0 with new initial data (and optionally a new aux
-  /// field) without reallocating anything; see StencilSolver::reset.
+  /// field); see StencilSolver::reset.
   virtual void reset(const Grid3& initial, const Grid3* aux) = 0;
+  /// Points a varcoef solver at another face-coefficient set; throws for
+  /// every other operator.  See StencilSolver::reset.
+  virtual void bind(std::shared_ptr<const DiffusionCoefficients> coeffs) = 0;
+  [[nodiscard]] virtual const DiffusionCoefficients* coefficients() const = 0;
   /// The current level as a grid.  Not const: a compressed solver copies
   /// its store out on demand (see StencilSolver::solution).
   [[nodiscard]] virtual const Grid3& solution() = 0;
@@ -225,6 +237,22 @@ struct StencilSolver::OpImpl final : StencilSolver::Impl {
           "constructed shape");
     state_.reset(cfg_, initial, aux);
     write_initial(initial);
+  }
+
+  void bind(std::shared_ptr<const DiffusionCoefficients> coeffs) override {
+    if constexpr (std::is_same_v<Op, VarCoefOp>) {
+      check_coefficients(coeffs.get(), nx_, ny_, nz_);
+      state_.coeffs = std::move(coeffs);
+    } else {
+      throw std::invalid_argument(
+          "StencilSolver::reset: only the varcoef operator reads face "
+          "coefficients");
+    }
+  }
+
+  [[nodiscard]] const DiffusionCoefficients* coefficients() const override {
+    if constexpr (std::is_same_v<Op, VarCoefOp>) return state_.coeffs.get();
+    return nullptr;
   }
 
   /// Every two-grid path swaps the grids back when it ends on an odd
@@ -368,7 +396,7 @@ lbm::LbmState default_lbm_state(const SolverConfig& cfg,
                                 const Grid3& initial) {
   lbm::LbmState s(
       lbm::Geometry::cavity(initial.nx(), initial.ny(), initial.nz()),
-      cfg.lbm, initial, cfg.lbm_storage, setup_threads(cfg));
+      cfg.lbm, initial, cfg.lbm_storage, cfg.setup_threads());
   s.prefetch = cfg.lbm_prefetch;
   return s;
 }
@@ -425,15 +453,28 @@ StencilSolver::StencilSolver(const SolverConfig& cfg, const Grid3& initial,
         "StencilSolver: kappa shape must match the initial grid");
   if (cfg.op == Operator::kLbm) {
     lbm::LbmState s(lbm::geometry_from_codes(kappa), cfg.lbm, initial,
-                    cfg.lbm_storage, setup_threads(cfg));
+                    cfg.lbm_storage, cfg.setup_threads());
     s.prefetch = cfg.lbm_prefetch;
     impl_ = std::make_unique<OpImpl<lbm::LbmOp>>(
         cfg, initial, OpState<lbm::LbmOp>{std::move(s)});
     return;
   }
+  *this = StencilSolver(cfg, initial,
+                        std::make_shared<const DiffusionCoefficients>(
+                            kappa, cfg.setup_threads()));
+}
+
+StencilSolver::StencilSolver(
+    const SolverConfig& cfg, const Grid3& initial,
+    std::shared_ptr<const DiffusionCoefficients> coeffs)
+    : cfg_(cfg) {
+  if (cfg.telemetry) obs::set_enabled(true);
+  if (cfg.op != Operator::kVarCoef)
+    throw std::invalid_argument(
+        "StencilSolver: only the varcoef operator reads face coefficients");
+  check_coefficients(coeffs.get(), initial.nx(), initial.ny(), initial.nz());
   impl_ = std::make_unique<OpImpl<VarCoefOp>>(
-      cfg, initial,
-      OpState<VarCoefOp>{DiffusionCoefficients(kappa, setup_threads(cfg))});
+      cfg, initial, OpState<VarCoefOp>{std::move(coeffs)});
 }
 
 StencilSolver::~StencilSolver() = default;
@@ -448,6 +489,16 @@ void StencilSolver::reset(const Grid3& initial) {
 void StencilSolver::reset(const Grid3& initial, const Grid3& kappa) {
   impl_->reset(initial, &kappa);
   levels_done_ = 0;
+}
+
+void StencilSolver::reset(const Grid3& initial,
+                          std::shared_ptr<const DiffusionCoefficients> coeffs) {
+  impl_->bind(std::move(coeffs));
+  reset(initial);
+}
+
+const DiffusionCoefficients* StencilSolver::coefficients() const {
+  return impl_->coefficients();
 }
 
 RunStats StencilSolver::advance(int steps) {

@@ -20,6 +20,7 @@
 // naive reference of the same operator.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -33,6 +34,8 @@ class LbmState;  // side-channel state of the lbm operator
 }
 
 namespace tb::core {
+
+class DiffusionCoefficients;  // varcoef's face coefficients (stencil_op.hpp)
 
 /// Which scheduling variant to run.
 enum class Variant {
@@ -132,6 +135,14 @@ struct SolverConfig {
   /// branch per sweep.  Never changes results.
   bool telemetry = false;
 
+  /// Threads of the set-up passes that follow no scheme's page placement
+  /// (the varcoef face coefficients, the lbm masks and lattices): the
+  /// most any scheme of the config runs.
+  [[nodiscard]] int setup_threads() const {
+    return std::max({baseline.threads, pipeline.total_threads(),
+                     wavefront.threads});
+  }
+
   /// Time levels one sweep of the schedule retires: the team-sweep depth
   /// n*t*T for pipelined, the wavefront depth for wavefront, 1 for the
   /// untiled schedules.  The model amortizes memory traffic over it, and
@@ -158,9 +169,19 @@ class StencilSolver {
   /// Construction with an auxiliary per-cell field `kappa` (same shape
   /// as `initial`): the material field for Operator::kVarCoef, the
   /// geometry codes for Operator::kLbm when cfg.lbm_geometry_from_aux is
-  /// set.  Valid for any operator; the stateless ones ignore kappa.
+  /// set.  Valid for any operator; the stateless ones ignore kappa.  A
+  /// varcoef solver builds its own face-coefficient set from kappa and
+  /// delegates to the constructor below.
   StencilSolver(const SolverConfig& cfg, const Grid3& initial,
                 const Grid3& kappa);
+
+  /// Construction on a face-coefficient set (Operator::kVarCoef only;
+  /// the set must match the shape of `initial`).  The solver reads the
+  /// set and never writes it, so any number of solvers can share one:
+  /// core::SolverSession builds one set per material and hands it to
+  /// every pooled solver of that shape and material.
+  StencilSolver(const SolverConfig& cfg, const Grid3& initial,
+                std::shared_ptr<const DiffusionCoefficients> coeffs);
 
   ~StencilSolver();
   StencilSolver(StencilSolver&&) noexcept;
@@ -186,10 +207,20 @@ class StencilSolver {
   void reset(const Grid3& initial);
 
   /// reset() with a new auxiliary field (varcoef's kappa, lbm's geometry
-  /// codes when cfg.lbm_geometry_from_aux is set): the face coefficients
-  /// resp. geometry masks are rebuilt in place.  Operators that take no
-  /// aux field ignore `kappa`, mirroring the two-argument constructor.
+  /// codes when cfg.lbm_geometry_from_aux is set).  lbm rebuilds its
+  /// geometry masks in place.  A varcoef solver never writes its
+  /// face-coefficient set, since other solvers may share it: it builds a
+  /// private set from kappa, and the old one is freed unless another
+  /// solver still holds it.  Operators that take no aux field ignore
+  /// `kappa`, mirroring the two-argument constructor.
   void reset(const Grid3& initial, const Grid3& kappa);
+
+  /// reset() onto another face-coefficient set (varcoef only; throws
+  /// std::invalid_argument for other operators or a set of another
+  /// shape): the solver drops the set it held and computes no
+  /// coefficient.  Passing the set it already holds is reset(initial).
+  void reset(const Grid3& initial,
+             std::shared_ptr<const DiffusionCoefficients> coeffs);
 
   /// Read-only view of the current solution, valid until the next
   /// advance() or reset().  Two-grid variants return their primary grid
@@ -216,6 +247,10 @@ class StencilSolver {
   /// `lbm_state()->current(levels_done())` is the lattice holding the
   /// present time level.  nullptr for every other operator.
   [[nodiscard]] const lbm::LbmState* lbm_state() const;
+
+  /// The face-coefficient set a varcoef solver reads; nullptr for every
+  /// other operator.
+  [[nodiscard]] const DiffusionCoefficients* coefficients() const;
 
  private:
   struct Impl;

@@ -47,6 +47,7 @@
 #pragma once
 
 #include <array>
+#include <memory>
 #include <stdexcept>
 
 #include "core/blocks.hpp"
@@ -99,6 +100,11 @@ struct JacobiOp {
 /// the bits of harmonic(kappa(c - e_d), kappa(c)) too: harmonic() is
 /// symmetric bit for bit while 2.0 * a is exact (kappa < DBL_MAX / 2),
 /// since the product and the sum commute.
+///
+/// Solvers hold a set through std::shared_ptr<const DiffusionCoefficients>
+/// and never write it, so solvers on one material can share one set (see
+/// core::SolverSession).  rebuild() writes in place: its caller must know
+/// that at most one solver, the one it is refilling for, reads the set.
 class DiffusionCoefficients {
  public:
   /// The six face rows the update of row (j, k) reads.
@@ -131,6 +137,10 @@ class DiffusionCoefficients {
           "constructed shape");
     fill_faces(kappa);
   }
+
+  [[nodiscard]] int nx() const { return nx_; }
+  [[nodiscard]] int ny() const { return ny_; }
+  [[nodiscard]] int nz() const { return nz_; }
 
   /// Rows of an interior row (j, k): the +x face is the -x row shifted
   /// by one cell, the +y and +z faces are the next row and plane.
@@ -181,11 +191,16 @@ class DiffusionCoefficients {
 /// (i, j, k) — they never shift, which is what lets the compressed-grid
 /// scheme (whose solution window drifts through its allocation) run this
 /// operator unchanged.
+///
+/// The operator reads the set through a slot its owner keeps (like
+/// RedBlackOp's LevelOrigin): every scheme copies the operator at
+/// construction, so pointing the slot at another set between sweeps
+/// rebinds all of those copies at once.
 struct VarCoefOp {
   static constexpr int kHalo = 1;
   static constexpr bool kHasNontemporal = false;
 
-  const DiffusionCoefficients* coeffs = nullptr;
+  const std::shared_ptr<const DiffusionCoefficients>* coeffs = nullptr;
 
   /// One cell — single source of truth for the floating-point expression.
   static double cell(const double* c, const double* jm, const double* jp,
@@ -229,7 +244,7 @@ struct VarCoefOp {
            const double* __restrict__ jm, const double* __restrict__ jp,
            const double* __restrict__ km, const double* __restrict__ kp,
            int /*level*/, int j, int k, int i0, int i1) const {
-    const auto f = coeffs->rows(j, k);
+    const auto f = (*coeffs)->rows(j, k);
     constexpr int W = util::simd::dvec::kWidth;
     int i = i0;
     for (; i + W <= i1; i += W)

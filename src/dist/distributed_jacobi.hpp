@@ -44,6 +44,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <type_traits>
@@ -159,8 +160,9 @@ class DistributedStencil {
       topo::touch_pages({kappa.data()}, kappa.size(), kPlacement,
                         cfg.pipeline.total_threads(),
                         core::window_source(*global_aux, kappa, origin));
-      coeffs_.emplace(kappa, cfg.pipeline.total_threads());
-      solver_.emplace(cfg.pipeline, level_clips(), Op{&*coeffs_});
+      coeffs_ = std::make_shared<const core::DiffusionCoefficients>(
+          kappa, cfg.pipeline.total_threads());
+      solver_.emplace(cfg.pipeline, level_clips(), Op{&coeffs_});
     } else if constexpr (StateTraits::kHasStateFields) {
       // State-fields contract (core/stencil_op.hpp): the operator cuts a
       // rank-local window of its side channel from the global inputs —
@@ -462,7 +464,7 @@ class DistributedStencil {
   std::vector<HaloMessage> plan_;  ///< one epoch's exchange, walked by advance
   core::Grid3 a_, b_;
   int base_level_ = 0;
-  std::optional<core::DiffusionCoefficients> coeffs_;  // varcoef only
+  std::shared_ptr<const core::DiffusionCoefficients> coeffs_;  // varcoef only
   /// Rank-local window of the operator's side-channel state (lbm only;
   /// empty struct for operators without state fields).
   std::optional<typename StateTraits::Window> state_;

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -21,6 +22,7 @@
 #include "core/registry.hpp"
 #include "core/session.hpp"
 #include "core/solver.hpp"
+#include "core/stencil_op.hpp"
 #include "support/grid_test_utils.hpp"
 #include "util/aligned_buffer.hpp"
 
@@ -185,6 +187,188 @@ TEST(SolverSession, VarcoefResetRebuildsCoefficients) {
   StencilSolver fresh(r.solver->config(), initial, uniform);
   fresh.advance(steps);
   expect_grids_bitwise_equal(r.solver->solution(), fresh.solution());
+}
+
+/// Bytes `fn` leaves allocated in AlignedBuffers.
+template <class Fn>
+std::uint64_t bytes_added(Fn&& fn) {
+  const std::uint64_t before = util::buffer_bytes_in_use();
+  fn();
+  return util::buffer_bytes_in_use() - before;
+}
+
+TEST(SolverSession, VarcoefSolversShareOneSetPerMaterial) {
+  const int n = 12, steps = 3;
+  const Grid3 initial = make_initial(n);
+  const Grid3 kappa = make_kappa(n);
+  const Grid3 same_bits = kappa.clone();
+  const std::uint64_t before = util::buffer_bytes_in_use();
+  const Grid3 probe(n, n, n);
+  const std::uint64_t grid = util::buffer_bytes_in_use() - before;
+
+  // What each schedule allocates for itself: the same solve on jacobi,
+  // which has no side-channel state.
+  const auto own_bytes = [&](const std::string& v) {
+    const SolveRequest req = matrix_request(v, "jacobi", initial, kappa, 0);
+    const std::uint64_t b = util::buffer_bytes_in_use();
+    StencilSolver s = make_solver(v, "jacobi", req.cfg, initial);
+    s.advance(steps);
+    return util::buffer_bytes_in_use() - b;
+  };
+
+  SolverSession session;
+  std::vector<SolveResult> results;
+  // The first solver of a material adds its grids, three face fields and
+  // the kappa copy the session compares against.
+  EXPECT_EQ(bytes_added([&] {
+              results.push_back(session.solve(matrix_request(
+                  "pipelined", "varcoef", initial, kappa, steps)));
+            }),
+            own_bytes("pipelined") + 4 * grid);
+  // Every further solver of that shape and material adds its own grids
+  // only.
+  for (const char* v : {"baseline", "compressed", "wavefront"}) {
+    EXPECT_EQ(bytes_added([&] {
+                results.push_back(session.solve(
+                    matrix_request(v, "varcoef", initial, same_bits, steps)));
+              }),
+              own_bytes(v))
+        << v;
+    EXPECT_EQ(results.back().solver->coefficients(),
+              results.front().solver->coefficients())
+        << v;
+  }
+
+  // A hit on the same kappa bits computes and allocates nothing.
+  const std::uint64_t allocs = util::buffer_alloc_count();
+  for (const char* v : {"pipelined", "baseline", "compressed"}) {
+    const SolveResult r =
+        session.solve(matrix_request(v, "varcoef", initial, same_bits, steps));
+    EXPECT_TRUE(r.reused) << v;
+  }
+  EXPECT_EQ(util::buffer_alloc_count(), allocs);
+
+  for (const SolveResult& r : results) {
+    StencilSolver fresh(r.solver->config(), initial, kappa);
+    fresh.advance(steps);
+    expect_grids_bitwise_equal(r.solver->solution(), fresh.solution());
+  }
+}
+
+TEST(SolverSession, VarcoefSolversOnDifferentKappasStayApart) {
+  // Two pooled solvers of one shape, solved alternately on different
+  // materials: each must keep running on its own kappa, also when
+  // advanced again through its returned SolveResult::solver after the
+  // other was solved.  The steps are no multiple of the sweep depth, so
+  // the remainder's baseline scheme reads the set too.
+  const int n = 10, steps = 5, more = 3;
+  const Grid3 initial = make_initial(n);
+  const Grid3 a = make_kappa(n);
+  Grid3 b(n, n, n), c(n, n, n);
+  b.fill(2.5);
+  fill_cells(c, 1, 0.0, [](int i, int j, int k) {
+    return 1.0 + 0.25 * ((i + 2 * j + 3 * k) % 5);
+  });
+
+  const auto expect_on = [&](StencilSolver& s, const Grid3& kappa,
+                             int levels) {
+    StencilSolver fresh(s.config(), initial, kappa);
+    fresh.advance(levels);
+    expect_grids_bitwise_equal(s.solution(), fresh.solution());
+  };
+
+  SolverSession session;
+  const auto solve = [&](const std::string& v, const Grid3& kappa) {
+    const SolveResult r =
+        session.solve(matrix_request(v, "varcoef", initial, kappa, steps));
+    expect_on(*r.solver, kappa, steps);
+    return r.solver;
+  };
+
+  StencilSolver* x = solve("pipelined", a);
+  StencilSolver* y = solve("compressed", b);
+  x->advance(more);
+  expect_on(*x, a, steps + more);
+
+  // x moves to b, whose set y already reads: bound, not rebuilt.
+  x = solve("pipelined", b);
+  EXPECT_EQ(x->coefficients(), y->coefficients());
+  const DiffusionCoefficients* set_b = x->coefficients();
+  y->advance(more);
+  expect_on(*y, b, steps + more);
+
+  // y moves to c while x still reads b: a new set, x keeps b.
+  y = solve("compressed", c);
+  EXPECT_NE(y->coefficients(), set_b);
+  EXPECT_EQ(x->coefficients(), set_b);
+  x->advance(more);
+  expect_on(*x, b, steps + more);
+
+  // x moves to a while nobody else reads b: b's set is refilled in place.
+  x = solve("pipelined", a);
+  EXPECT_EQ(x->coefficients(), set_b);
+  y->advance(more);
+  expect_on(*y, c, steps + more);
+  x->advance(more);
+  expect_on(*x, a, steps + more);
+
+  // A kappa of another shape is refused on a hit and on a miss, and
+  // leaves x on its material.
+  const Grid3 bigger = make_kappa(n + 1);
+  for (const char* v : {"pipelined", "baseline"})
+    EXPECT_THROW(
+        session.solve(matrix_request(v, "varcoef", initial, bigger, steps)),
+        std::invalid_argument)
+        << v;
+  EXPECT_EQ(x->coefficients(), set_b);
+}
+
+TEST(StencilSolverReset, VarcoefSharedSetContract) {
+  const int n = 8, steps = 3;
+  const Grid3 initial = make_initial(n);
+  const Grid3 kappa = make_kappa(n);
+  SolverConfig cfg;
+  cfg.variant = Variant::kBaseline;
+  cfg.baseline.threads = 2;
+  cfg.op = Operator::kVarCoef;
+  const auto set = std::make_shared<const DiffusionCoefficients>(kappa);
+  const auto other = std::make_shared<const DiffusionCoefficients>(
+      make_kappa(n + 1));
+
+  // Two solvers on one set read it, and match a solver on its own set.
+  StencilSolver s1(cfg, initial, set), s2(cfg, initial, set);
+  EXPECT_EQ(s1.coefficients(), set.get());
+  StencilSolver own(cfg, initial, kappa);
+  EXPECT_NE(own.coefficients(), set.get());
+  for (StencilSolver* s : {&s1, &s2, &own}) s->advance(steps);
+  expect_grids_bitwise_equal(s1.solution(), own.solution());
+  expect_grids_bitwise_equal(s2.solution(), own.solution());
+
+  // A new kappa gives s1 a private set and leaves the shared one alone.
+  Grid3 uniform(n, n, n);
+  uniform.fill(2.5);
+  s1.reset(initial, uniform);
+  EXPECT_NE(s1.coefficients(), set.get());
+  s1.advance(steps);
+  StencilSolver fresh(cfg, initial, uniform);
+  fresh.advance(steps);
+  expect_grids_bitwise_equal(s1.solution(), fresh.solution());
+  s2.reset(initial, set);
+  s2.advance(steps);
+  expect_grids_bitwise_equal(s2.solution(), own.solution());
+
+  EXPECT_THROW(s1.reset(initial, other), std::invalid_argument);
+  EXPECT_THROW(StencilSolver(cfg, initial, other), std::invalid_argument);
+  EXPECT_THROW(
+      StencilSolver(cfg, initial,
+                    std::shared_ptr<const DiffusionCoefficients>()),
+      std::invalid_argument);
+  SolverConfig jacobi = cfg;
+  jacobi.op = Operator::kJacobi;
+  EXPECT_THROW(StencilSolver(jacobi, initial, set), std::invalid_argument);
+  StencilSolver j(jacobi, initial);
+  EXPECT_EQ(j.coefficients(), nullptr);
+  EXPECT_THROW(j.reset(initial, set), std::invalid_argument);
 }
 
 TEST(SolverSession, DistinctShapesGetDistinctSolvers) {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -180,7 +181,7 @@ Grid3 scalar_oracle(const std::string& op, const Grid3& initial,
                     const Grid3& kappa, int steps) {
   Grid3 a = initial.clone(), b = initial.clone();
   if (op == "varcoef") {
-    const DiffusionCoefficients coeffs(kappa);
+    const auto coeffs = std::make_shared<const DiffusionCoefficients>(kappa);
     return reference_solve_op(VarCoefOp{&coeffs}, a, b, steps).clone();
   }
   if (op == "box27") return reference_solve_op(Box27Op{}, a, b, steps).clone();

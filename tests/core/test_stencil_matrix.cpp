@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <ostream>
 #include <string>
 
@@ -31,7 +32,7 @@ Grid3 reference_result_op(const std::string& op, const Grid3& initial,
                           const Grid3& kappa, int steps) {
   Grid3 a = initial.clone(), b = initial.clone();
   if (op == "varcoef") {
-    const DiffusionCoefficients coeffs(kappa);
+    const auto coeffs = std::make_shared<const DiffusionCoefficients>(kappa);
     return reference_solve_op(VarCoefOp{&coeffs}, a, b, steps).clone();
   }
   if (op == "box27")

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 
 #include "core/norms.hpp"
 #include "core/pipeline.hpp"
@@ -155,7 +156,7 @@ TEST(VarCoef, UniformKappaReducesToJacobi) {
   const int n = 12;
   Grid3 kappa(n, n, n);
   kappa.fill(3.0);  // any uniform value: all face coefficients equal
-  DiffusionCoefficients c(kappa);
+  const auto c = std::make_shared<const DiffusionCoefficients>(kappa);
   Grid3 u = make_initial(n);
   Grid3 j1 = u.clone(), j2 = u.clone();
 
@@ -192,7 +193,8 @@ TEST_P(VarCoefEquivalence, PipelinedMatchesReference) {
   pc.block = {5, 4, 3};
   pc.du = 3;
 
-  const DiffusionCoefficients coeffs(make_kappa(n));
+  const auto coeffs =
+      std::make_shared<const DiffusionCoefficients>(make_kappa(n));
   PipelinedSolver<VarCoefOp> solver(pc, n, n, n, VarCoefOp{&coeffs});
 
   const Grid3 initial = make_initial(n);
@@ -224,7 +226,7 @@ TEST(VarCoef, ConductiveSlabCarriesMoreHeatInward) {
     pc.teams = 1;
     pc.team_size = 2;
     pc.block = {n, 6, 6};
-    const DiffusionCoefficients coeffs(kappa);
+    const auto coeffs = std::make_shared<const DiffusionCoefficients>(kappa);
     PipelinedSolver<VarCoefOp> solver(pc, n, n, n, VarCoefOp{&coeffs});
     const Grid3 initial = make_initial(n);
     Grid3 a = initial.clone(), b = initial.clone();
@@ -243,7 +245,7 @@ TEST(VarCoef, RejectsCompressedScheme) {
   pc.scheme = GridScheme::kCompressed;
   Grid3 kappa(8, 8, 8);
   kappa.fill(1.0);
-  const DiffusionCoefficients coeffs(kappa);
+  const auto coeffs = std::make_shared<const DiffusionCoefficients>(kappa);
   EXPECT_THROW(PipelinedSolver<VarCoefOp>(pc, 8, 8, 8, VarCoefOp{&coeffs}),
                std::invalid_argument);
 }

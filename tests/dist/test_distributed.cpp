@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <ostream>
 #include <vector>
 
@@ -263,7 +264,8 @@ TEST_P(VarCoefDecomposition, BitIdenticalToReference) {
                                    &kappa);
 
   const int steps = epochs * cfg.pipeline.levels_per_sweep();
-  const core::DiffusionCoefficients coeffs(kappa);
+  const auto coeffs =
+      std::make_shared<const core::DiffusionCoefficients>(kappa);
   core::Grid3 a = initial.clone(), b = initial.clone();
   const core::Grid3& expected =
       core::reference_solve_op(core::VarCoefOp{&coeffs}, a, b, steps);

@@ -99,5 +99,41 @@ TEST(SessionTuning, AutoMatchesReferenceThroughSession) {
   std::remove(cache.c_str());
 }
 
+TEST(SessionTuning, AutoVarcoefReadsTheSessionMaterialSet) {
+  // "auto" resolves through make_solver, which builds a private set; the
+  // session binds the solver to its own set for the material instead.
+  const std::string cache = temp_cache("varcoef");
+  std::remove(cache.c_str());
+
+  core::SessionOptions opts;
+  opts.tune_cache_path = cache;
+  core::SolverSession session(opts);
+
+  const core::Grid3 initial = make_initial(10);
+  const core::Grid3 kappa = tb::test::make_kappa(10);
+  core::SolveRequest ref = auto_request(initial, 5);
+  ref.variant = "reference";
+  ref.op = "varcoef";
+  ref.aux = &kappa;
+  const core::SolveResult oracle = session.solve(ref);
+
+  core::SolveRequest req = ref;
+  req.variant = "auto";
+  for (const bool reused : {false, true}) {
+    const std::uint64_t probes =
+        obs::Registry::global().counter_value("tune.probes");
+    const core::SolveResult solved = session.solve(req);
+    ASSERT_NE(solved.solver, nullptr);
+    EXPECT_EQ(solved.reused, reused);
+    // Only the first solve tunes.
+    EXPECT_EQ(obs::Registry::global().counter_value("tune.probes") > probes,
+              !reused);
+    EXPECT_EQ(solved.solver->coefficients(), oracle.solver->coefficients());
+    tb::test::expect_grids_bitwise_equal(solved.solver->solution(),
+                                         oracle.solver->solution());
+  }
+  std::remove(cache.c_str());
+}
+
 }  // namespace
 }  // namespace tb::tune
